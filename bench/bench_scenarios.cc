@@ -138,13 +138,14 @@ int Main(int argc, char** argv) {
   }
 
   // ---- deadline-degraded flash crowd --------------------------------------
-  // One extra cell replays the flash-crowd archetype overloaded (1.5x
-  // the calibrated capacity) against the pipeline backend under
-  // kDegrade with a tight per-read deadline: pressed reads must come
-  // back from the popularity fallback tier (flagged `degraded`) rather
-  // than queueing without bound, and every sampled response — degraded
-  // or not — must still match its offline reference. The cell gates
-  // the exit code on both: nonzero fallback serves and parity.
+  // One extra cell replays the flash-crowd archetype overloaded (3x
+  // the calibrated capacity, `offered_fraction` below) against the
+  // pipeline backend under kDegrade with a tight per-read deadline:
+  // pressed reads must come back from the popularity fallback tier
+  // (flagged `degraded`) rather than queueing without bound, and every
+  // sampled response — degraded or not — must still match its offline
+  // reference. The cell gates the exit code on both: nonzero fallback
+  // serves and parity.
   {
     workload::ScenarioConfig crowd =
         workload::FlashCrowdScenario(users, flags.seed + 7);
@@ -177,7 +178,8 @@ int Main(int argc, char** argv) {
         // The whole point of the cell: overload must be answered with
         // degraded service, not silence.
         std::printf("flash_crowd_degrade: no fallback serves under "
-                    "1.5x overload - degradation path not exercised\n");
+                    "%.1fx overload - degradation path not exercised\n",
+                    config.offered_fraction);
         parity = false;
       }
       std::printf(

@@ -1,6 +1,6 @@
 // Serving throughput through the RecsysEngine request/response API:
 //
-//   * sequential vs. thread-pool-batched serving (parity-checked),
+//   * sequential serving throughput (cache off),
 //   * repeat traffic with the response cache enabled vs. disabled
 //     (identical requests re-served after nothing changed),
 //   * SUM update throughput through SumService::Apply / ApplyAll,
@@ -920,7 +920,7 @@ int Main(int argc, char** argv) {
   const size_t k = 10;
 
   PrintHeader(StrFormat(
-      "Serving throughput - sequential vs batched (%zu users)", users));
+      "Serving throughput - sequential (%zu users)", users));
 
   // Two-community interaction matrix plus long-tail noise.
   Rng rng(flags.seed);
@@ -993,39 +993,14 @@ int Main(int argc, char** argv) {
   }
 
   // ---- sequential baseline (cache off) ------------------------------------
-  std::vector<spa::Result<recsys::RecommendResponse>> sequential;
-  sequential.reserve(requests.size());
   const auto seq_start = Clock::now();
   for (const auto& request : requests) {
-    sequential.push_back(engine->Recommend(request));
+    (void)engine->Recommend(request);
   }
   const double seq_seconds = SecondsSince(seq_start);
   const double seq_rps = static_cast<double>(users) / seq_seconds;
   std::printf("\nsequential:        %8.0f req/s  (%.3f s)\n", seq_rps,
               seq_seconds);
-
-  // ---- batched scaling curve (cache off) ----------------------------------
-  struct BatchPoint {
-    size_t threads;
-    double rps;
-    double speedup;
-    bool parity;
-  };
-  std::vector<BatchPoint> points;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    engine->set_batch_threads(threads);
-    (void)engine->batch_thread_count();  // spawn workers outside timing
-    const auto start = Clock::now();
-    const auto batched = engine->RecommendBatch(requests);
-    const double seconds = SecondsSince(start);
-    const double rps = static_cast<double>(users) / seconds;
-    const bool parity = SameResults(sequential, batched);
-    points.push_back({threads, rps, rps / seq_rps, parity});
-    std::printf("batched x%zu:        %8.0f req/s  (%.3f s)  "
-                "speedup %.2fx  parity %s\n",
-                threads, rps, seconds, rps / seq_rps,
-                parity ? "OK" : "MISMATCH");
-  }
 
   // ---- repeat traffic: cached vs uncached ---------------------------------
   // The same request set served twice; pass 2 models the steady state
@@ -1186,63 +1161,14 @@ int Main(int argc, char** argv) {
   const RouterResult router_result =
       RunRouterScenario(users, items, k, flags.seed + 3);
 
-  // ---- staged dataflow: bitwise parity vs the fused inline path -----------
-  // Both passes compute from scratch (cache cleared before each) at
-  // the same pinned versions; the responses must match byte-for-byte.
-  PrintHeader("Staged dataflow - parity vs fused inline serving");
-  cached_engine->ClearResponseCache();
-  recsys::BatchPin staged_pin;
-  const auto staged_results =
-      cached_engine->RecommendBatchStaged(requests, &staged_pin);
-  cached_engine->ClearResponseCache();
-  recsys::BatchPin inline_pin;
-  const auto inline_results =
-      cached_engine->RecommendBatchInline(requests, &inline_pin);
-  const bool staged_parity =
-      SameResults(staged_results, inline_results) &&
-      staged_pin.fit_epoch == inline_pin.fit_epoch &&
-      staged_pin.matrix_version == inline_pin.matrix_version &&
-      staged_pin.sum_version == inline_pin.sum_version;
-  std::printf("staged vs inline (%zu requests): %s\n", requests.size(),
-              staged_parity ? "OK" : "MISMATCH");
-
-  // ---- per-stage latency --------------------------------------------------
-  const recsys::StageStats stages = cached_engine->stage_stats();
-  PrintHeader("Per-stage serving latency (cached engine, cumulative)");
-  const auto print_stage = [](const char* name,
-                              const recsys::StageStats::Stage& s) {
-    std::printf("%-14s %8llu calls | total %8.3f ms | mean %8.1f us | "
-                "p50 %8.1f us | p95 %8.1f us | p99 %8.1f us | "
-                "max %8.1f us\n",
-                name, static_cast<unsigned long long>(s.count),
-                s.total_seconds * 1e3,
-                s.count > 0 ? s.total_seconds * 1e6 /
-                                  static_cast<double>(s.count)
-                            : 0.0,
-                s.p50_seconds * 1e6, s.p95_seconds * 1e6,
-                s.p99_seconds * 1e6, s.max_seconds * 1e6);
-  };
-  print_stage("candidate-gen", stages.candidate_gen);
-  print_stage("rerank", stages.rerank);
-  print_stage("cache-lookup", stages.cache_lookup);
-
   // ---- JSON ---------------------------------------------------------------
   std::FILE* json = std::fopen("BENCH_serving.json", "w");
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n  \"bench\": \"serving\",\n  \"users\": %zu,\n"
                  "  \"items\": %zu,\n  \"k\": %zu,\n"
-                 "  \"sequential_rps\": %.1f,\n  \"batched\": [\n",
+                 "  \"sequential_rps\": %.1f,\n",
                  users, items, k, seq_rps);
-    for (size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(json,
-                   "    {\"threads\": %zu, \"rps\": %.1f, "
-                   "\"speedup\": %.3f, \"parity\": %s}%s\n",
-                   points[i].threads, points[i].rps, points[i].speedup,
-                   points[i].parity ? "true" : "false",
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
     std::fprintf(json,
                  "  \"repeat_traffic\": {\n"
                  "    \"cold_rps\": %.1f,\n"
@@ -1363,45 +1289,23 @@ int Main(int argc, char** argv) {
                    i + 1 < router_result.points.size() ? "," : "");
     }
     std::fprintf(json, "    ]\n  },\n");
-    const auto stage_json = [json](const char* name,
-                                   const recsys::StageStats::Stage& s,
-                                   const char* suffix) {
-      std::fprintf(json,
-                   "    \"%s\": {\"count\": %llu, "
-                   "\"total_seconds\": %.6f, \"max_seconds\": %.6f, ",
-                   name, static_cast<unsigned long long>(s.count),
-                   s.total_seconds, s.max_seconds);
-      WriteQuantileFields(json, Quantiles(s.histogram, 1e6), "us");
-      std::fprintf(json, "}%s\n", suffix);
-    };
     // Hierarchical profiler export (schema: docs/METRICS.md): the
-    // leveled L1/L2/L3 item catalog of the cached engine plus the
-    // staged-vs-inline parity verdict.
+    // leveled L1/L2/L3 item catalog of the cached engine.
     const spa::Profiler& profiler = cached_engine->profiler();
     std::fprintf(json,
                  "  \"stages\": {\n"
-                 "    \"staged_parity\": %s,\n"
                  "    \"level\": %d,\n"
                  "    \"epochs\": %llu,\n"
-                 "    \"items\": %s\n  },\n",
-                 staged_parity ? "true" : "false",
+                 "    \"items\": %s\n  }\n",
                  static_cast<int>(profiler.level()),
                  static_cast<unsigned long long>(profiler.epochs()),
                  profiler.ExportItemsJson(spa::ProfilerLevel::kL3, 4)
                      .c_str());
-    std::fprintf(json, "  \"stage_latency\": {\n");
-    stage_json("candidate_gen", stages.candidate_gen, ",");
-    stage_json("rerank", stages.rerank, ",");
-    stage_json("cache_lookup", stages.cache_lookup, "");
-    std::fprintf(json, "  }\n");
     std::fprintf(json, "}\n");
     std::fclose(json);
     std::printf("\nwrote BENCH_serving.json\n");
   }
 
-  for (const BatchPoint& p : points) {
-    if (!p.parity) return 1;  // batched serving must match sequential
-  }
   for (const KnnIndexPoint& p : knn_points) {
     if (!p.parity) return 1;  // indexed serving must match lazy exactly
   }
@@ -1418,8 +1322,6 @@ int Main(int argc, char** argv) {
   // Routed serving must match the single-process engine bitwise at the
   // same pinned versions — the router tier's whole contract.
   if (!router_result.parity) return 1;
-  // The staged dataflow must reproduce the fused path byte-for-byte.
-  if (!staged_parity) return 1;
   return cache_parity ? 0 : 1;
 }
 

@@ -119,9 +119,10 @@ class Spa {
   spa::Result<recsys::RecommendResponse> Recommend(
       recsys::RecommendRequest request);
 
-  /// Serves a batch of requests in parallel over the engine's thread
-  /// pool; results align with `requests` by index and match sequential
-  /// Recommend calls exactly.
+  /// Serves a batch of requests through the engine's `RecommendBatch`
+  /// (one pinned snapshot, served in the calling thread); results
+  /// align with `requests` by index and match sequential Recommend
+  /// calls exactly.
   std::vector<spa::Result<recsys::RecommendResponse>> RecommendBatch(
       std::vector<recsys::RecommendRequest> requests);
 

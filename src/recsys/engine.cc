@@ -54,9 +54,8 @@ class ItemTimer {
 
 }  // namespace
 
-/// Per-request intermediate state between the serving stages. Owned by
-/// the caller (`Serve` keeps one on its stack; `RecommendBatchStaged`
-/// keeps one per request for the whole micro-batch).
+/// Per-request intermediate state between the serving stages; the
+/// pooled `ServeScratch` keeps one per cache miss of a batch.
 struct RecsysEngine::ServeState {
   struct Ranked {
     double score = 0.0;
@@ -68,7 +67,7 @@ struct RecsysEngine::ServeState {
   CandidateQuery query;  ///< borrows the request's item sets
   /// Scoring scratch threaded into the stages via `query.workspace`
   /// (null = the thread-local fallback). Only live within one stage
-  /// call, so staged batches share a single workspace across requests.
+  /// call, so a batch shares a single workspace across requests.
   kernels::ScoreWorkspace* workspace = nullptr;
   std::vector<std::vector<Scored>> fetched;
   std::vector<HybridRecommender::Blended> blended;
@@ -86,11 +85,12 @@ struct RecsysEngine::ServeState {
   }
 };
 
-/// The pooled unit the fused serve path recycles: per-request stage
-/// state plus the kernel scoring workspace, both keeping their
-/// capacities between requests.
+/// The pooled unit the serve core recycles: the admission contexts and
+/// stage states of one batch's cache misses plus the kernel scoring
+/// workspace, all keeping their capacities between batches.
 struct RecsysEngine::ServeScratch {
-  ServeState state;
+  std::vector<RequestContext> misses;  ///< emptied after every batch
+  std::vector<ServeState> states;      ///< states[m] serves misses[m]
   kernels::ScoreWorkspace ws;
 };
 
@@ -171,7 +171,7 @@ spa::Status RecsysEngine::FitInternal(const InteractionMatrix& matrix,
   // updates pointed at a matrix nobody serves from.
   std::unique_lock lock(serve_mutex_);
   SPA_RETURN_IF_ERROR(hybrid_->Fit(matrix));
-  // The degrade tier fits alongside the stack so RecommendFallback is
+  // The degrade tier fits alongside the stack so RecommendFallbackInto is
   // always servable once the engine is.
   SPA_RETURN_IF_ERROR(fallback_pop_.Fit(matrix));
   fitted_ = true;
@@ -301,11 +301,11 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
   // 4. Re-warm the hot set: re-serve the hottest invalidated entries
   // into the cache at the post-apply versions while we still hold the
   // exclusive serve lock, so no reader ever observes the invalidation
-  // as a miss. The serve path re-enters through RecommendIntoImpl,
-  // whose internals take only leaf locks (cache_mutex_, scratch_mu_,
-  // frequency shards) — never serve_mutex_ — so re-entry under the
-  // writer lock is safe. rewarm_in_progress_ suppresses frequency
-  // touches so the re-warm traffic cannot inflate its own hot set.
+  // as a miss. The hot set is re-served as one batch through ServeCore,
+  // which takes only leaf locks (cache_mutex_, scratch_mu_, frequency
+  // shards) — never serve_mutex_ — so re-entry under the writer lock
+  // is safe. rewarm_in_progress_ suppresses frequency touches so the
+  // re-warm traffic cannot inflate its own hot set.
   if (!rewarm.empty()) {
     const auto rewarm_start = Clock::now();
     std::sort(rewarm.begin(), rewarm.end(),
@@ -319,25 +319,28 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
     if (rewarm.size() > config_.rewarm_limit) {
       rewarm.resize(config_.rewarm_limit);
     }
-    rewarm_in_progress_ = true;
-    std::unordered_set<UserId> rewarmed_users;
-    RecommendResponse scratch_response;
-    for (RewarmCandidate& candidate : rewarm) {
-      RecommendRequest request;
-      request.user = candidate.key.user;
-      request.k = candidate.key.k;
-      request.exclude_seen = candidate.key.exclude_seen;
-      request.explain = candidate.key.explain;
-      request.exclude_items = std::move(candidate.key.exclude_items);
-      request.candidate_items = std::move(candidate.key.candidate_items);
-      if (RecommendIntoImpl(request, /*batch_snapshot=*/nullptr,
-                            &scratch_response)
-              .ok()) {
-        ++report.entries_rewarmed;
-        rewarmed_users.insert(request.user);
-      }
+    std::vector<RecommendRequest> requests(rewarm.size());
+    for (size_t i = 0; i < rewarm.size(); ++i) {
+      CacheKey& key = rewarm[i].key;
+      requests[i].user = key.user;
+      requests[i].k = key.k;
+      requests[i].exclude_seen = key.exclude_seen;
+      requests[i].explain = key.explain;
+      requests[i].exclude_items = std::move(key.exclude_items);
+      requests[i].candidate_items = std::move(key.candidate_items);
     }
+    std::vector<RecommendResponse> responses(requests.size());
+    std::vector<spa::Status> statuses(requests.size());
+    rewarm_in_progress_ = true;
+    ServeCore(requests, sums_ != nullptr ? sums_->snapshot() : nullptr,
+              responses, statuses);
     rewarm_in_progress_ = false;
+    std::unordered_set<UserId> rewarmed_users;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (!statuses[i].ok()) continue;
+      ++report.entries_rewarmed;
+      rewarmed_users.insert(requests[i].user);
+    }
     report.users_rewarmed = rewarmed_users.size();
     report.rewarm_seconds = SecondsSince(rewarm_start);
   }
@@ -529,43 +532,60 @@ void RecsysEngine::ClearResponseCache() const {
   cache_index_.clear();
 }
 
-StageStats RecsysEngine::stage_stats() const {
-  const ProfilerSnapshot snap = profiler_.Snapshot(ProfilerLevel::kL2);
-  const auto to_stage = [&snap](ProfilerItem item) {
-    StageStats::Stage out;
-    for (const ProfilerItemSnapshot& s : snap.items) {
-      if (s.item != item) continue;
-      out.count = s.count;
-      out.total_seconds = s.total_seconds;
-      out.max_seconds = s.max_seconds;
-      out.p50_seconds = s.p50_seconds;
-      out.p95_seconds = s.p95_seconds;
-      out.p99_seconds = s.p99_seconds;
-      out.histogram = s.histogram;
-      break;
-    }
-    return out;
-  };
-  StageStats stats;
-  stats.candidate_gen = to_stage(ProfilerItem::kStageCandidateGen);
-  stats.rerank = to_stage(ProfilerItem::kStageRerank);
-  stats.cache_lookup = to_stage(ProfilerItem::kStageCacheLookup);
-  return stats;
-}
-
 // ---- serving ---------------------------------------------------------------
-
-spa::Result<RecommendResponse> RecsysEngine::Recommend(
-    const RecommendRequest& request) const {
-  std::shared_lock lock(serve_mutex_);
-  return RecommendImpl(request, /*batch_snapshot=*/nullptr);
-}
 
 spa::Status RecsysEngine::RecommendInto(const RecommendRequest& request,
                                         RecommendResponse* out) const {
   SPA_CHECK(out != nullptr);
   std::shared_lock lock(serve_mutex_);
-  return RecommendIntoImpl(request, /*batch_snapshot=*/nullptr, out);
+  ItemTimer timer(profiler_, ProfilerItem::kRequestServe);
+  spa::Status status;
+  ServeCore({&request, 1}, /*batch_snapshot=*/nullptr, {out, 1},
+            {&status, 1});
+  timer.Stop();
+  return status;
+}
+
+spa::Result<RecommendResponse> RecsysEngine::Recommend(
+    const RecommendRequest& request) const {
+  RecommendResponse response;
+  SPA_RETURN_IF_ERROR(RecommendInto(request, &response));
+  return response;
+}
+
+std::vector<spa::Result<RecommendResponse>> RecsysEngine::RecommendBatch(
+    const std::vector<RecommendRequest>& requests, BatchPin* pin) const {
+  // One shared hold and one snapshot for the whole batch: a concurrent
+  // ApplyInteractions cannot interleave mid-batch, and every request
+  // sees the same emotional context. The snapshot is pinned *inside*
+  // the hold so (matrix version, SUM version) is one consistency point
+  // (see BatchPin).
+  std::shared_lock lock(serve_mutex_);
+  const sum::SumSnapshotPtr batch_snapshot =
+      sums_ != nullptr ? sums_->snapshot() : nullptr;
+  if (pin != nullptr) {
+    pin->fit_epoch = fit_epoch_;
+    pin->matrix_version =
+        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
+    pin->sum_version =
+        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
+  }
+  std::vector<spa::Result<RecommendResponse>> results;
+  if (requests.empty()) return results;
+  ItemTimer timer(profiler_, ProfilerItem::kBatchServe);
+  std::vector<RecommendResponse> responses(requests.size());
+  std::vector<spa::Status> statuses(requests.size());
+  ServeCore(requests, batch_snapshot, responses, statuses);
+  timer.Stop();
+  results.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (statuses[i].ok()) {
+      results.emplace_back(std::move(responses[i]));
+    } else {
+      results.emplace_back(std::move(statuses[i]));
+    }
+  }
+  return results;
 }
 
 spa::Status RecsysEngine::RecommendFallbackInto(
@@ -611,14 +631,6 @@ spa::Status RecsysEngine::RecommendFallbackInto(
     out->items.push_back(std::move(item));
   }
   return spa::Status::OK();
-}
-
-spa::Result<RecommendResponse> RecsysEngine::RecommendFallback(
-    const RecommendRequest& request, BatchPin* pin) const {
-  RecommendResponse response;
-  spa::Status status = RecommendFallbackInto(request, &response, pin);
-  if (!status.ok()) return status;
-  return response;
 }
 
 void RecsysEngine::AdmitRequest(const RecommendRequest& request,
@@ -674,55 +686,68 @@ void RecsysEngine::AdmitRequest(const RecommendRequest& request,
   }
 }
 
-spa::Status RecsysEngine::RecommendIntoImpl(
-    const RecommendRequest& request,
-    const sum::SumSnapshotPtr& batch_snapshot,
-    RecommendResponse* out) const {
-  ItemTimer request_timer(profiler_, ProfilerItem::kRequestServe);
-  RequestContext ctx;
-  AdmitRequest(request, batch_snapshot, &ctx, out);
-  if (ctx.done) {
-    request_timer.Stop();
-    return ctx.status;
+void RecsysEngine::ServeCore(std::span<const RecommendRequest> requests,
+                             const sum::SumSnapshotPtr& batch_snapshot,
+                             std::span<RecommendResponse> responses,
+                             std::span<spa::Status> statuses) const {
+  // Admission (validation, pinning, cache probe) runs for the whole
+  // batch first: failures and cache hits are answered in their caller
+  // slots here, and duplicates within one batch each miss —
+  // deterministically the same bytes, only the hit/miss counters see
+  // them. The misses take a pooled scratch, borrowed on the first one.
+  std::unique_ptr<ServeScratch> scratch;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    RequestContext ctx;
+    AdmitRequest(requests[i], batch_snapshot, &ctx, &responses[i]);
+    statuses[i] = std::move(ctx.status);
+    if (ctx.done) continue;
+    if (scratch == nullptr) scratch = AcquireScratch();
+    ctx.slot = i;
+    scratch->misses.push_back(std::move(ctx));
   }
-  // Uncached: run the four stages on a pooled scratch, then copy the
-  // response out (the scratch keeps its capacities for the next
-  // request; the caller's `out` keeps its own).
-  std::unique_ptr<ServeScratch> scratch = AcquireScratch();
-  ServeState& state = scratch->state;
-  state.Reset(request.explain);
-  state.workspace = &scratch->ws;
-  ServeCandidates(request, &state);
-  ServeBlend(&state);
-  ServeRerank(request, ctx.model, &state);
-  ServeExplain(request, &state);
-  if (ctx.cacheable) {
-    CacheInsert(ctx.fingerprint, request, ctx.sum_user_version,
-                state.response);
+  if (scratch == nullptr) return;
+
+  // Stage-major: every miss clears stage N before any enters stage
+  // N+1. One workspace serves the whole batch: each stage fully resets
+  // the accumulator it uses, so sharing it never changes a bit.
+  std::vector<RequestContext>& misses = scratch->misses;
+  std::vector<ServeState>& states = scratch->states;
+  if (states.size() < misses.size()) states.resize(misses.size());
+  for (size_t m = 0; m < misses.size(); ++m) {
+    const RecommendRequest& request = requests[misses[m].slot];
+    states[m].Reset(request.explain);
+    states[m].workspace = &scratch->ws;
+    ServeCandidates(request, &states[m]);
   }
-  *out = state.response;
+  for (size_t m = 0; m < misses.size(); ++m) {
+    ServeBlend(&states[m]);
+  }
+  for (size_t m = 0; m < misses.size(); ++m) {
+    ServeRerank(requests[misses[m].slot], misses[m].model, &states[m]);
+  }
+  for (size_t m = 0; m < misses.size(); ++m) {
+    ServeExplain(requests[misses[m].slot], &states[m]);
+  }
+  for (size_t m = 0; m < misses.size(); ++m) {
+    const RequestContext& ctx = misses[m];
+    if (ctx.cacheable) {
+      CacheInsert(ctx.fingerprint, requests[ctx.slot], ctx.sum_user_version,
+                  states[m].response);
+    }
+    // Swap, not copy: the caller takes the computed buffers and the
+    // pooled state keeps the caller's old ones as its next capacity.
+    std::swap(responses[ctx.slot], states[m].response);
+  }
+  // Drop the pinned snapshots: a pooled scratch must not keep old SUM
+  // views alive between batches.
+  misses.clear();
   ReleaseScratch(std::move(scratch));
-  request_timer.Stop();
-  return spa::Status::OK();
 }
 
-spa::Result<RecommendResponse> RecsysEngine::RecommendImpl(
-    const RecommendRequest& request,
-    const sum::SumSnapshotPtr& batch_snapshot) const {
-  RecommendResponse response;
-  spa::Status status =
-      RecommendIntoImpl(request, batch_snapshot, &response);
-  if (!status.ok()) return status;
-  return response;
-}
-
-// ---- the staged serving dataflow -------------------------------------------
+// ---- the serving stages ----------------------------------------------------
 //
-// `Serve` composes the four stages back-to-back — that IS the fused
-// per-request path, so the staged batch executor below is
-// byte-identical to it by construction: each stage performs the exact
-// floating-point operations of the corresponding slice of the former
-// monolithic body, in the same order, on per-request state.
+// Each stage performs its slice of the per-request arithmetic on
+// per-request state; ServeCore composes them stage-major.
 
 void RecsysEngine::ServeCandidates(const RecommendRequest& request,
                                    ServeState* state) const {
@@ -859,157 +884,7 @@ void RecsysEngine::ServeExplain(const RecommendRequest& request,
   timer.Stop();
 }
 
-std::vector<spa::Result<RecommendResponse>> RecsysEngine::RecommendBatch(
-    const std::vector<RecommendRequest>& requests, BatchPin* pin) {
-  std::vector<spa::Result<RecommendResponse>> results(
-      requests.size(),
-      spa::Result<RecommendResponse>(
-          spa::Status::Internal("request not served")));
-  // An empty batch must not spawn the worker pool; it still pins (the
-  // lock below) so `pin` reports a real consistency point.
-  ThreadPool* pool = requests.empty() ? nullptr : EnsurePool();
-  // One shared hold for the whole batch, on behalf of all workers: a
-  // concurrent ApplyInteractions cannot interleave mid-batch, so the
-  // matrix view is as mutually consistent as the SUM view. (Workers
-  // must not re-acquire: a writer queued behind this hold would block
-  // them under writer-priority locks while the batch waits on the
-  // workers — deadlock.)
-  std::shared_lock lock(serve_mutex_);
-  // One snapshot for the whole batch: every request sees the same
-  // emotional context (mutually consistent rankings) and the per-
-  // request snapshot acquisition disappears from the hot path. Pinned
-  // *inside* the lock hold so (matrix version, SUM version) is one
-  // consistency point (see BatchPin).
-  const sum::SumSnapshotPtr batch_snapshot =
-      sums_ != nullptr ? sums_->snapshot() : nullptr;
-  if (pin != nullptr) {
-    pin->fit_epoch = fit_epoch_;
-    pin->matrix_version =
-        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
-    pin->sum_version =
-        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
-  }
-  if (requests.empty()) return results;
-  ParallelFor(pool, requests.size(),
-              [this, &requests, &results, &batch_snapshot](size_t i) {
-                results[i] = RecommendImpl(requests[i], batch_snapshot);
-              });
-  return results;
-}
-
-std::vector<spa::Result<RecommendResponse>>
-RecsysEngine::RecommendBatchInline(
-    const std::vector<RecommendRequest>& requests, BatchPin* pin) const {
-  std::vector<spa::Result<RecommendResponse>> results;
-  results.reserve(requests.size());
-  std::shared_lock lock(serve_mutex_);
-  const sum::SumSnapshotPtr batch_snapshot =
-      sums_ != nullptr ? sums_->snapshot() : nullptr;
-  if (pin != nullptr) {
-    pin->fit_epoch = fit_epoch_;
-    pin->matrix_version =
-        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
-    pin->sum_version =
-        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
-  }
-  for (const RecommendRequest& request : requests) {
-    results.push_back(RecommendImpl(request, batch_snapshot));
-  }
-  return results;
-}
-
-std::vector<spa::Result<RecommendResponse>>
-RecsysEngine::RecommendBatchStaged(
-    const std::vector<RecommendRequest>& requests, BatchPin* pin) const {
-  std::vector<spa::Result<RecommendResponse>> results(
-      requests.size(),
-      spa::Result<RecommendResponse>(
-          spa::Status::Internal("request not served")));
-  // Same consistency discipline as RecommendBatchInline: one shared
-  // hold and one pinned snapshot for the whole micro-batch, so the
-  // BatchPin means the same thing on both paths.
-  std::shared_lock lock(serve_mutex_);
-  const sum::SumSnapshotPtr batch_snapshot =
-      sums_ != nullptr ? sums_->snapshot() : nullptr;
-  if (pin != nullptr) {
-    pin->fit_epoch = fit_epoch_;
-    pin->matrix_version =
-        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
-    pin->sum_version =
-        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
-  }
-  if (requests.empty()) return results;
-
-  ItemTimer batch_timer(profiler_, ProfilerItem::kBatchServe);
-  const size_t n = requests.size();
-
-  // Stage-major execution: every request clears stage N before any
-  // request enters stage N+1. A request that failed validation or hit
-  // the cache at admission skips the serve stages. Note the one
-  // intended difference from the fused path: duplicate requests in
-  // one batch each compute (all admissions probe the cache before any
-  // insert) — deterministically the same bytes, so only the hit/miss
-  // counters can differ, never a response.
-  std::vector<RequestContext> contexts(n);
-  std::vector<RecommendResponse> hits(n);
-  for (size_t i = 0; i < n; ++i) {
-    AdmitRequest(requests[i], batch_snapshot, &contexts[i], &hits[i]);
-  }
-  // One pooled workspace serves the whole micro-batch: the stages run
-  // request-sequentially, and the accumulator is fully reset by each
-  // stage's Begin, so sharing it never changes a bit.
-  std::unique_ptr<ServeScratch> scratch = AcquireScratch();
-  std::vector<ServeState> states(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    states[i].explain = requests[i].explain;
-    states[i].workspace = &scratch->ws;
-    ServeCandidates(requests[i], &states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    ServeBlend(&states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    ServeRerank(requests[i], contexts[i].model, &states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    ServeExplain(requests[i], &states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) {
-      if (contexts[i].status.ok()) {
-        results[i] = std::move(hits[i]);
-      } else {
-        results[i] = contexts[i].status;
-      }
-      continue;
-    }
-    if (contexts[i].cacheable) {
-      CacheInsert(contexts[i].fingerprint, requests[i],
-                  contexts[i].sum_user_version, states[i].response);
-    }
-    results[i] = std::move(states[i].response);
-  }
-  ReleaseScratch(std::move(scratch));
-  batch_timer.Stop();
-  return results;
-}
-
-size_t RecsysEngine::batch_thread_count() {
-  return EnsurePool()->thread_count();
-}
-
-void RecsysEngine::set_batch_threads(size_t threads) {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  config_.batch_threads = threads;
-  pool_.reset();
-}
-
 ThreadPool* RecsysEngine::EnsurePool() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
   if (pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(config_.batch_threads);
   }

@@ -7,13 +7,13 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/frequency_map.h"
 #include "common/profiler.h"
 #include "common/rw_lock.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/workspace_pool.h"
@@ -28,11 +28,13 @@
 /// The serving facade of the advice stage: owns the recommender stack
 /// (base components blended by a weighted hybrid, plus the
 /// emotion-aware re-ranker) and answers `RecommendRequest`s one at a
-/// time or in thread-pool-parallel batches. This is the seam every
-/// scaling layer (sharding, caching, async) plugs into — the streaming
-/// layer (`recsys/serving_pipeline.h`) drains its admission queue
-/// through `RecommendBatchInline` and its writer lane through
-/// `ApplyInteractions`.
+/// time (`RecommendInto`, `Recommend`) or as a micro-batch
+/// (`RecommendBatch`). Both run the same serve core: admit → candidate
+/// generation → blend → rerank → explain, each stage run across the
+/// whole batch before the next. This is the seam every scaling layer
+/// (sharding, caching, async) plugs into — the streaming layer
+/// (`recsys/serving_pipeline.h`) drains its admission queue through
+/// `RecommendBatch` and its writer lane through `ApplyInteractions`.
 ///
 /// Emotional context comes from a `sum::SumService`: each request pins
 /// the service's current `SumSnapshot` — and `RecommendBatch` pins
@@ -111,7 +113,7 @@
 ///
 /// ## Popularity fallback tier
 ///
-/// `RecommendFallback` serves a request from a popularity-only tier
+/// `RecommendFallbackInto` serves a request from a popularity-only tier
 /// (no KNN fan-out, no blending, no emotional re-rank): an
 /// engine-owned `PopularityRecommender` fitted alongside the stack
 /// and incrementally refreshed by every `ApplyInteractions`. The
@@ -135,7 +137,9 @@ struct EngineConfig {
   bool emotion_enabled = true;
   /// Emotion-aware re-ranking parameters.
   EmotionRerankConfig rerank;
-  /// Worker threads for RecommendBatch (0 = hardware concurrency).
+  /// Worker threads of the pool ApplyInteractions replays a sharded
+  /// interaction batch on, one task per shard (0 = hardware
+  /// concurrency; unsharded matrices never start the pool).
   size_t batch_threads = 0;
   /// Max memoized responses (LRU beyond this; 0 disables the cache).
   size_t response_cache_capacity = 4096;
@@ -221,32 +225,6 @@ struct LiveUpdateStats {
   double rewarm_seconds = 0.0;
 };
 
-/// \brief Per-stage serving latency counters (cumulative) — the
-/// compatibility view over the engine's hierarchical `Profiler`
-/// (`profiler()` exposes the full L1/L2/L3 item catalog).
-///
-/// Each stage snapshots one L2 profiler item: count/total/max plus a
-/// log-scale latency histogram and its p50/p95/p99 estimates. The
-/// histogram geometry, the `histogram.total() == count` quiescent
-/// invariant, and the JSON export format are documented in
-/// `docs/METRICS.md`.
-struct StageStats {
-  struct Stage {
-    uint64_t count = 0;
-    double total_seconds = 0.0;
-    double max_seconds = 0.0;
-    /// Latency quantile estimates in seconds (0 when count == 0).
-    double p50_seconds = 0.0;
-    double p95_seconds = 0.0;
-    double p99_seconds = 0.0;
-    /// Full log-scale histogram snapshot (seconds).
-    LogHistogram histogram;
-  };
-  Stage candidate_gen;  ///< hybrid blend (component fan-out)
-  Stage rerank;         ///< emotion re-score + sort + materialize
-  Stage cache_lookup;   ///< response-cache probes (hits and misses)
-};
-
 /// \brief The consistency point a (micro-)batch served against: the
 /// engine's fit epoch, the interaction-matrix version and the global
 /// SUM snapshot version, all captured while the batch held the shared
@@ -263,10 +241,10 @@ struct BatchPin {
 /// \brief Owns the recommender stack and serves requests.
 ///
 /// Assembly order: AddComponent(...) / SetItemEmotionProfile(...) /
-/// set_sum_service(...), then Fit(matrix). `Recommend` is const and
-/// thread-safe once fitted; `RecommendBatch` fans requests out over an
-/// internal `spa::ThreadPool` and returns results in request order,
-/// identical to sequential `Recommend` calls.
+/// set_sum_service(...), then Fit(matrix). Every serve entry point is
+/// const and thread-safe once fitted; `RecommendBatch` serves in the
+/// calling thread and returns results in request order, bitwise equal
+/// to sequential `RecommendInto` calls at the batch's `BatchPin`.
 class RecsysEngine {
  public:
   explicit RecsysEngine(EngineConfig config = {});
@@ -295,56 +273,32 @@ class RecsysEngine {
   bool fitted() const { return fitted_; }
 
   // ---- serving -----------------------------------------------------------
-  /// Serves one request (from the response cache when an entry with
-  /// matching versions exists). Errors: InvalidArgument (bad request),
+  /// Serves one request into `*out`: the serve core run on a batch of
+  /// one, pinning the SUM service's current snapshot. A cache hit is
+  /// copy-assigned into `*out`, reusing its capacity, so a caller that
+  /// recycles one `RecommendResponse` serves warm hits without a single
+  /// heap allocation (the allocation regression test gates this with
+  /// an operator-new counter). `*out` is untouched on error. Records
+  /// one L1 `request.serve`. Errors: InvalidArgument (bad request),
   /// FailedPrecondition (engine not fitted).
-  spa::Result<RecommendResponse> Recommend(
-      const RecommendRequest& request) const;
-
-  /// Allocation-aware variant of `Recommend`: the response is written
-  /// into `*out` (replacing its contents but reusing its capacity), so
-  /// a caller recycling one `RecommendResponse` across requests serves
-  /// warm cache hits without a single heap allocation — the regression
-  /// test gates this with an operator-new counter. Byte-identical
-  /// responses to `Recommend`.
   spa::Status RecommendInto(const RecommendRequest& request,
                             RecommendResponse* out) const;
 
-  /// Serves a batch in parallel; results align with `requests` by index
-  /// and are byte-identical to sequential `Recommend` calls made
-  /// against the batch's pinned SUM snapshot (one snapshot for the
-  /// whole batch: rankings are mutually consistent even while updates
-  /// land). `pin` (optional) receives the consistency point the batch
-  /// served against.
+  /// Result-returning wrapper over `RecommendInto` (same bytes).
+  spa::Result<RecommendResponse> Recommend(
+      const RecommendRequest& request) const;
+
+  /// Serves a micro-batch in the calling thread under one shared-lock
+  /// hold and one pinned SUM snapshot, so rankings are mutually
+  /// consistent even while updates land. Results align with `requests`
+  /// by index and are bitwise equal to sequential `RecommendInto` calls
+  /// on an engine at the same `BatchPin`, which `pin` (optional)
+  /// receives. The serve core runs each stage across the whole batch
+  /// before the next, and every request probes the cache before any
+  /// inserts: duplicates within one batch each compute (same bytes,
+  /// different hit/miss counters). Records one L1 `batch.serve` per
+  /// non-empty call; the per-stage timings land in the L2 items.
   std::vector<spa::Result<RecommendResponse>> RecommendBatch(
-      const std::vector<RecommendRequest>& requests,
-      BatchPin* pin = nullptr);
-
-  /// Serves a micro-batch sequentially **in the calling thread** under
-  /// one shared-lock hold and one pinned SUM snapshot — the primitive
-  /// the streaming `ServingPipeline` drains its admission queue with
-  /// (its workers are already parallel, so fanning out again over the
-  /// batch pool would only add contention). Results are byte-identical
-  /// to `RecommendBatch` / sequential `Recommend` on the same requests
-  /// at the same `BatchPin`.
-  std::vector<spa::Result<RecommendResponse>> RecommendBatchInline(
-      const std::vector<RecommendRequest>& requests,
-      BatchPin* pin = nullptr) const;
-
-  /// Serves a micro-batch through the **explicit staged dataflow**:
-  /// admit → candidate-gen → blend → rerank → explain, each stage run
-  /// stage-major across the whole batch (every request finishes stage
-  /// N before any request enters stage N+1). Same locking discipline
-  /// as `RecommendBatchInline` — one shared-lock hold, one pinned SUM
-  /// snapshot — and byte-identical results at the same `BatchPin`: the
-  /// stages compose the exact per-request arithmetic of the fused
-  /// path, in the same order, so parity holds by construction (and is
-  /// pinned by the stage-pipeline differential tests). Overlap between
-  /// micro-batches comes from the streaming pipeline's drain workers,
-  /// which run staged batches concurrently on `common/thread_pool`.
-  /// Stage timings land in the engine profiler as L2 items plus one
-  /// L1 `batch.serve` recording per call.
-  std::vector<spa::Result<RecommendResponse>> RecommendBatchStaged(
       const std::vector<RecommendRequest>& requests,
       BatchPin* pin = nullptr) const;
 
@@ -358,10 +312,6 @@ class RecsysEngine {
   spa::Status RecommendFallbackInto(const RecommendRequest& request,
                                     RecommendResponse* out,
                                     BatchPin* pin = nullptr) const;
-
-  /// Result-returning wrapper over `RecommendFallbackInto`.
-  spa::Result<RecommendResponse> RecommendFallback(
-      const RecommendRequest& request, BatchPin* pin = nullptr) const;
 
   // ---- live updates ------------------------------------------------------
   /// Routes one interaction batch into the (mutable) fitted matrix,
@@ -379,11 +329,6 @@ class RecsysEngine {
   const EngineConfig& config() const { return config_; }
   const HybridRecommender& hybrid() const { return *hybrid_; }
   EmotionAwareReranker* reranker() { return &reranker_; }
-  size_t batch_thread_count();
-
-  /// Resizes the batch pool (tears down the old one after in-flight
-  /// work drains; not thread-safe against concurrent RecommendBatch).
-  void set_batch_threads(size_t threads);
 
   /// Fit-time similarity-index statistics of every component that
   /// keeps one (build time, memory, matrix version stamp). Empty
@@ -402,12 +347,6 @@ class RecsysEngine {
   size_t cache_size() const;
   /// Drops every cached response (counters are kept).
   void ClearResponseCache() const;
-
-  /// Per-stage serving latency counters (cumulative since
-  /// construction; candidate-gen and rerank count computed responses,
-  /// cache-lookup counts probes). A projection of `profiler()`'s L2
-  /// items kept for compatibility with existing consumers.
-  StageStats stage_stats() const;
 
   /// The engine's leveled hierarchical profiler (L1 whole-op, L2
   /// per-stage, L3 stage internals). Mutable so recording stays
@@ -458,12 +397,13 @@ class RecsysEngine {
                    uint64_t sum_user_version,
                    const RecommendResponse& response) const;
 
-  /// Per-request admission state threaded through the staged dataflow:
-  /// everything `RecommendImpl` decides before the serve stages run.
+  /// Per-request admission state threaded through the serve core:
+  /// everything decided before the serve stages run.
   struct RequestContext {
+    size_t slot = 0;            ///< the request's index in its batch
     spa::Status status = spa::Status::OK();  ///< admit-time failure
     bool done = false;          ///< failed, or served from cache
-    sum::SumSnapshotPtr snapshot;  ///< per-request pin (single path)
+    sum::SumSnapshotPtr snapshot;  ///< the SUM view the request pinned
     const sum::SmartUserModel* model = nullptr;
     uint64_t sum_user_version = 0;
     bool cacheable = false;
@@ -471,10 +411,12 @@ class RecsysEngine {
   };
 
   /// Per-request intermediate state between serve stages (defined in
-  /// the .cc; sized/POD enough to live in a batch-long vector).
+  /// the .cc).
   struct ServeState;
-  /// A pooled ServeState plus its scoring workspace — recycled across
-  /// requests so the warm serve path never touches the heap (defined
+  /// The pooled per-batch scratch of the serve core: the admission
+  /// contexts and stage states of the batch's cache misses plus the
+  /// scoring workspace, recycled across batches so their capacities
+  /// persist and the warm serve path never touches the heap (defined
   /// in the .cc).
   struct ServeScratch;
 
@@ -484,18 +426,15 @@ class RecsysEngine {
   void ReleaseScratch(std::unique_ptr<ServeScratch> scratch) const;
 
   /// Validation + fitted check + snapshot/model resolution + cache
-  /// probe — the front half of `RecommendImpl`, shared verbatim by the
-  /// fused and the staged paths. A cache hit is copy-assigned into
-  /// `*hit_out` (and `ctx->done` set). Records `stage.cache_lookup`.
+  /// probe. A cache hit is copy-assigned into `*hit_out` (and
+  /// `ctx->done` set). Records `stage.cache_lookup`.
   void AdmitRequest(const RecommendRequest& request,
                     const sum::SumSnapshotPtr& batch_snapshot,
                     RequestContext* ctx,
                     RecommendResponse* hit_out) const;
 
-  // The serving dataflow, stage by stage. `Serve` composes the four
-  // sequentially (the fused per-request path); `RecommendBatchStaged`
-  // runs each across a whole micro-batch before the next. Identical
-  // per-request arithmetic in identical order either way.
+  // The serving dataflow, stage by stage; `ServeCore` runs each across
+  // the whole batch before the next.
   void ServeCandidates(const RecommendRequest& request,
                        ServeState* state) const;
   void ServeBlend(ServeState* state) const;
@@ -505,27 +444,26 @@ class RecsysEngine {
   void ServeExplain(const RecommendRequest& request,
                     ServeState* state) const;
 
-  /// Serving core; the caller holds the shared serve lock.
-  /// `batch_snapshot` (may be null) is the batch-pinned SUM view —
-  /// single requests pass null and pin their own. The response lands
-  /// in `*out` by capacity-reusing copy-assign; the serve stages run
-  /// on a pooled `ServeScratch`, so a warm caller allocates nothing on
-  /// cache hits and only response-copy growth on misses.
-  spa::Status RecommendIntoImpl(
-      const RecommendRequest& request,
-      const sum::SumSnapshotPtr& batch_snapshot,
-      RecommendResponse* out) const;
-
-  /// Result-returning wrapper over RecommendIntoImpl (byte-identical).
-  spa::Result<RecommendResponse> RecommendImpl(
-      const RecommendRequest& request,
-      const sum::SumSnapshotPtr& batch_snapshot) const;
+  /// The one serve core; the caller holds the serve lock (either side).
+  /// Serves `requests[i]` into the caller-owned slots `responses[i]`
+  /// and `statuses[i]`; a slot's response is written only when its
+  /// status is OK. `batch_snapshot` (may be null) is the batch-pinned
+  /// SUM view — null makes each request pin the service's current
+  /// head. Admission runs for every request before any stage, so all
+  /// cache probes precede all inserts; a batch without a cache miss
+  /// never borrows a scratch.
+  void ServeCore(std::span<const RecommendRequest> requests,
+                 const sum::SumSnapshotPtr& batch_snapshot,
+                 std::span<RecommendResponse> responses,
+                 std::span<spa::Status> statuses) const;
 
   EngineConfig config_;
   std::unique_ptr<HybridRecommender> hybrid_;
   EmotionAwareReranker reranker_;
   const sum::SumService* sums_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created
+  /// Shard-replay pool for ApplyInteractions; created lazily by
+  /// EnsurePool, which only runs under the exclusive serve lock.
+  std::unique_ptr<ThreadPool> pool_;
   bool fitted_ = false;
   /// Bumped by every Fit; cache entries from earlier fits never match.
   uint64_t fit_epoch_ = 0;
@@ -569,11 +507,11 @@ class RecsysEngine {
 
   /// The popularity-only fallback tier: fitted by Fit, incrementally
   /// refreshed by ApplyInteractions (bitwise == refit), served by
-  /// RecommendFallback under the shared serve lock.
+  /// RecommendFallbackInto under the shared serve lock.
   mutable PopularityRecommender fallback_pop_;
 
   /// Leveled latency profiler (updated on every serve, including
-  /// cache hits, by every batch worker — lock-free, see
+  /// cache hits, from every serving thread — lock-free, see
   /// `common/profiler.h`).
   mutable Profiler profiler_;
 
@@ -581,10 +519,6 @@ class RecsysEngine {
   /// lock; read under the shared side).
   LiveUpdateStats live_stats_;
 
-  /// Guards lazy pool construction: RecommendBatch creates the pool
-  /// outside the serve lock, so it can race ApplyInteractions'
-  /// EnsurePool call for the parallel shard apply.
-  std::mutex pool_mu_;
   ThreadPool* EnsurePool();
 
   /// Page-granular memory recycled by the scoring accumulators.

@@ -53,9 +53,8 @@ class HybridRecommender : public Recommender {
   /// per-component share — the explanation path of the serving
   /// engine; leave it off on the hot path (it allocates one vector
   /// per candidate). Exactly `FetchComponentCandidates` followed by
-  /// `BlendFetched` — the staged serving dataflow calls the two
-  /// halves as separate stages and is bitwise-identical by
-  /// construction.
+  /// `BlendFetched` — the engine's serve core calls the two halves as
+  /// separate stages and is bitwise-identical by construction.
   std::vector<Blended> BlendCandidates(const CandidateQuery& query,
                                        bool track_contributions = true) const;
 

@@ -96,7 +96,7 @@ struct RecommendResponse {
   /// fallback tier under deadline pressure instead of the full stack.
   /// Degraded responses are the only responses allowed to differ from
   /// synchronous full serving at the same pin; they instead match the
-  /// engine's `RecommendFallback` at their pinned matrix version
+  /// engine's `RecommendFallbackInto` at their pinned matrix version
   /// (see docs/ARCHITECTURE.md, "Degraded serving contract").
   bool degraded = false;
 

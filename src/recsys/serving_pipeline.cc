@@ -355,7 +355,6 @@ void ServingPipeline::DrainLoop() {
       ExecuteWrite(std::move(op));
       lock.lock();
       writer_inflight_ = false;
-      ++updates_applied_;
       work_cv_.notify_all();
       if (read_queue_.empty() && write_queue_.empty() &&
           reads_inflight_ == 0) {
@@ -375,15 +374,9 @@ void ServingPipeline::DrainLoop() {
       reads_inflight_ += n;
       space_cv_.notify_all();
       lock.unlock();
-      // Degraded/dropped ops update their counters inside (they are
-      // not engine-served responses); only full serves are counted
-      // here, and a batch that degraded away entirely never ran the
-      // engine, so it is not a drained micro-batch either.
-      const size_t full_served = ExecuteReadBatch(std::move(batch));
+      ExecuteReadBatch(std::move(batch));
       lock.lock();
       reads_inflight_ -= n;
-      responses_ += full_served;
-      if (full_served > 0) ++batches_;
       if (read_queue_.empty() && write_queue_.empty() &&
           !writer_inflight_ && reads_inflight_ == 0) {
         idle_cv_.notify_all();
@@ -441,10 +434,16 @@ void ServingPipeline::ExecuteWrite(Op op) {
       op.ticket->sum_status_ = std::move(sum_status);
     }
   }
+  // Count before completing: a caller reading stats() right after
+  // Wait() must already see this op.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++updates_applied_;
+  }
   op.ticket->Complete(TicketState::kDone);
 }
 
-size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
+void ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
   const auto dequeued = Clock::now();
   // kDegrade: classify by remaining slack before burning engine time.
   // Already-expired ops are dropped; ops whose slack cannot cover a
@@ -476,7 +475,9 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
       DegradeRead(std::move(op), dequeued);
     }
   }
-  if (batch.empty()) return 0;
+  // A batch that degraded away entirely never ran the engine, so it
+  // is not a drained micro-batch either.
+  if (batch.empty()) return;
 
   const double cpu_before = ThreadCpuSeconds();
   std::vector<RecommendRequest> requests;
@@ -485,9 +486,7 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
     requests.push_back(std::move(op.request));
   }
   BatchPin pin;
-  auto results = config_.staged
-                     ? engine_->RecommendBatchStaged(requests, &pin)
-                     : engine_->RecommendBatchInline(requests, &pin);
+  auto results = engine_->RecommendBatch(requests, &pin);
   const auto served = Clock::now();
   const double serve_seconds = SecondsBetween(dequeued, served);
   hist_batch_serve_.Add(serve_seconds);
@@ -506,6 +505,13 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
       serve_estimate_nanos_.load(std::memory_order_relaxed);
   serve_estimate_nanos_.store(prev == 0 ? sample : (3 * prev + sample) / 4,
                               std::memory_order_relaxed);
+  // Count before completing any ticket: a caller reading stats() right
+  // after Wait() must already see its response and batch.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    responses_ += batch.size();
+    ++batches_;
+  }
   for (size_t i = 0; i < batch.size(); ++i) {
     StreamTicket& ticket = *batch[i].ticket;
     const double waited =
@@ -522,7 +528,6 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
         SecondsBetween(ticket.submitted_at_, Clock::now()));
     ticket.Complete(TicketState::kDone);
   }
-  return batch.size();
 }
 
 void ServingPipeline::DegradeRead(Op op, Clock::time_point now) {

@@ -24,12 +24,10 @@
 /// backpressure policy (block / reject-with-status / shed-oldest)
 /// feeds worker threads hosted on a `common/thread_pool`; each worker
 /// drains a run of queued requests as one micro-batch served through
-/// the engine's staged dataflow (`RecsysEngine::RecommendBatchStaged`;
-/// `PipelineConfig::staged = false` falls back to the fused
-/// `RecommendBatchInline`), so every drained batch pins exactly one
-/// SUM snapshot and one interaction-matrix version — the same
-/// consistency contract `RecommendBatch` gives a closed batch — and
-/// concurrent drain workers overlap their stages across micro-batches.
+/// `RecsysEngine::RecommendBatch` in the worker's own thread, so every
+/// drained batch pins exactly one SUM snapshot and one
+/// interaction-matrix version, and concurrent drain workers overlap
+/// their stages across micro-batches.
 ///
 /// ## Writer lane
 ///
@@ -90,7 +88,7 @@
 ///
 /// Degraded responses are the only non-bitwise responses the pipeline
 /// can produce. They are deterministic against
-/// `RecsysEngine::RecommendFallback` at their pin, which is what the
+/// `RecsysEngine::RecommendFallbackInto` at their pin, which is what the
 /// randomized overload harness replays them against; fallback serves
 /// count as `responses` and record both latency histograms, drops
 /// record neither. The writer lane treats `kDegrade` as
@@ -137,14 +135,6 @@ struct PipelineConfig {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// Max requests drained into one micro-batch (one pinned snapshot).
   size_t max_batch = 32;
-  /// Drain micro-batches through the engine's explicit staged
-  /// dataflow (`RecommendBatchStaged`: admit → candidates → blend →
-  /// rerank → explain, stage-major) instead of the fused
-  /// `RecommendBatchInline`. Byte-identical responses either way at
-  /// the same `BatchPin` — the differential harness runs every
-  /// schedule against both claims; staged additionally feeds the
-  /// engine profiler's per-stage items.
-  bool staged = true;
   /// Deadline stamped on reads submitted without an explicit one,
   /// seconds from admission (kDegrade only; 0 = no deadline — such
   /// reads never expire and never degrade, but can still be the
@@ -343,14 +333,15 @@ class ServingPipeline {
 
   spa::Result<StreamTicketPtr> Admit(Op op, bool writer);
   void DrainLoop();
+  /// Applies one writer-lane op; counts it before completing its
+  /// ticket. Call WITHOUT mu_ held.
   void ExecuteWrite(Op op);
   /// Serves one dequeued read micro-batch. Under kDegrade ops are
-  /// first classified by remaining slack (drop / fallback / full);
-  /// fallback and drop outcomes update the pipeline counters
-  /// themselves (brief mu_ reacquire). Returns the number of ops
-  /// full-served through the engine (0 = no engine batch ran, so the
-  /// caller must not count a batch).
-  size_t ExecuteReadBatch(std::vector<Op> batch);
+  /// first classified by remaining slack (drop / fallback / full).
+  /// Every outcome updates its pipeline counters (brief mu_
+  /// reacquire) before its ticket completes, so stats() read after
+  /// Wait() already counts the op. Call WITHOUT mu_ held.
+  void ExecuteReadBatch(std::vector<Op> batch);
   /// Terminal degrade of one read op, off-queue: expired → dropped
   /// (kShed + ResourceExhausted, counted in expired_drops), otherwise
   /// answered from the engine's popularity fallback tier (kDone,

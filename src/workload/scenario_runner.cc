@@ -599,9 +599,10 @@ ScenarioOutcome ScenarioRunner::Run(const ScenarioConfig& scenario) const {
       // Deadline-degraded serves come from the popularity fallback
       // tier: deterministic at the pinned matrix version, independent
       // of SUM state, and flagged — never silently substituted.
-      const auto expected = reference.RecommendFallback(sample->request);
-      if (!expected.ok() ||
-          !SameResponse(streamed, expected.value())) {
+      recsys::RecommendResponse expected;
+      if (!reference.RecommendFallbackInto(sample->request, &expected)
+               .ok() ||
+          !SameResponse(streamed, expected)) {
         out.parity = false;
         break;
       }

@@ -35,7 +35,7 @@
 /// match exactly; any divergence fails the run's parity bit (which
 /// `bench_scenarios` wires into its exit code). Responses flagged
 /// `degraded` (kDegrade deadline pressure) are instead re-served
-/// against the reference's `RecommendFallback` at the same pin — the
+/// against the reference's `RecommendFallbackInto` at the same pin — the
 /// popularity fallback tier is deterministic too, just not the full
 /// blend.
 ///

@@ -442,7 +442,7 @@ TEST_F(EngineCacheTest, FallbackServesDegradedPopularityRanking) {
   request.user = 0;
   request.k = 4;
   BatchPin pin;
-  const auto fallback = engine->RecommendFallback(request, &pin);
+  const auto fallback = ServeFallback(*engine, request, &pin);
   ASSERT_TRUE(fallback.ok());
   EXPECT_TRUE(fallback.value().degraded);
   EXPECT_FALSE(fallback.value().explained);
@@ -461,7 +461,7 @@ TEST_F(EngineCacheTest, FallbackServesDegradedPopularityRanking) {
   // Deterministic: a second engine over the same matrix produces the
   // same degraded bytes.
   auto reference = MakeEngine();
-  const auto again = reference->RecommendFallback(request);
+  const auto again = ServeFallback(*reference, request);
   ASSERT_TRUE(again.ok());
   ExpectSameItems(fallback.value(), again.value());
   EXPECT_TRUE(again.value().degraded);
@@ -481,13 +481,13 @@ TEST_F(EngineCacheTest, FallbackHonorsExclusionsAndValidation) {
   request.user = 0;
   request.k = 50;
   request.exclude_seen = ExcludeSeen::kNo;
-  const auto all = engine->RecommendFallback(request);
+  const auto all = ServeFallback(*engine, request);
   ASSERT_TRUE(all.ok());
   ASSERT_GT(all.value().items.size(), 1u);
   const ItemId banned = all.value().items[0].item;
 
   request.exclude_items.insert(banned);
-  const auto filtered = engine->RecommendFallback(request);
+  const auto filtered = ServeFallback(*engine, request);
   ASSERT_TRUE(filtered.ok());
   for (const auto& item : filtered.value().items) {
     EXPECT_NE(item.item, banned);
@@ -496,7 +496,7 @@ TEST_F(EngineCacheTest, FallbackHonorsExclusionsAndValidation) {
   RecommendRequest invalid;
   invalid.user = 0;
   invalid.k = 0;
-  EXPECT_FALSE(engine->RecommendFallback(invalid).ok());
+  EXPECT_FALSE(ServeFallback(*engine, invalid).ok());
 }
 
 // ---- concurrent serve-while-update ----------------------------------------
@@ -578,8 +578,8 @@ TEST_F(EngineCacheTest, PinnedSnapshotServesStableRankingsUnderUpdates) {
 
 TEST_F(EngineCacheTest, StageLatencyCountersAccumulate) {
   auto engine = MakeEngine();
-  const StageStats before = engine->stage_stats();
-  EXPECT_EQ(before.candidate_gen.count, 0u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageCandidateGen).count,
+            0u);
 
   for (UserId u = 0; u < 3; ++u) {
     RecommendRequest request;
@@ -587,23 +587,28 @@ TEST_F(EngineCacheTest, StageLatencyCountersAccumulate) {
     request.k = 3;
     ASSERT_TRUE(engine->Recommend(request).ok());
   }
-  StageStats stats = engine->stage_stats();
-  EXPECT_EQ(stats.candidate_gen.count, 3u);
-  EXPECT_EQ(stats.rerank.count, 3u);
-  EXPECT_EQ(stats.cache_lookup.count, 3u);
-  EXPECT_GE(stats.candidate_gen.total_seconds,
-            stats.candidate_gen.max_seconds);
-  EXPECT_GT(stats.candidate_gen.max_seconds, 0.0);
+  ProfilerItemSnapshot candidate_gen =
+      ProfilerItemOf(*engine, ProfilerItem::kStageCandidateGen);
+  EXPECT_EQ(candidate_gen.count, 3u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageRerank).count, 3u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageCacheLookup).count,
+            3u);
+  EXPECT_GE(candidate_gen.total_seconds, candidate_gen.max_seconds);
+  EXPECT_GT(candidate_gen.max_seconds, 0.0);
 
-  // A cache hit probes the cache but recomputes nothing.
+  // A cache hit probes the cache but recomputes nothing, and does not
+  // even borrow a serve scratch.
   RecommendRequest repeat;
   repeat.user = 0;
   repeat.k = 3;
   ASSERT_TRUE(engine->Recommend(repeat).ok());
-  stats = engine->stage_stats();
-  EXPECT_EQ(stats.cache_lookup.count, 4u);
-  EXPECT_EQ(stats.candidate_gen.count, 3u);
-  EXPECT_EQ(stats.rerank.count, 3u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageCacheLookup).count,
+            4u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageCandidateGen).count,
+            3u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageRerank).count, 3u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kWorkspaceAcquire).count,
+            3u);
 }
 
 TEST_F(EngineCacheTest, StageHistogramTotalsMatchStageCounters) {
@@ -619,19 +624,22 @@ TEST_F(EngineCacheTest, StageHistogramTotalsMatchStageCounters) {
     ASSERT_TRUE(engine->Recommend(request).ok());
     ASSERT_TRUE(engine->Recommend(request).ok());  // cache hit
   }
-  const StageStats stats = engine->stage_stats();
-  EXPECT_EQ(stats.candidate_gen.count, 5u);
-  EXPECT_EQ(stats.cache_lookup.count, 10u);
-  for (const StageStats::Stage* stage :
-       {&stats.candidate_gen, &stats.rerank, &stats.cache_lookup}) {
-    EXPECT_EQ(stage->histogram.total(), stage->count);
-    EXPECT_LE(stage->p50_seconds, stage->p95_seconds);
-    EXPECT_LE(stage->p95_seconds, stage->p99_seconds);
-    EXPECT_GT(stage->p50_seconds, 0.0);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageCandidateGen).count,
+            5u);
+  EXPECT_EQ(ProfilerItemOf(*engine, ProfilerItem::kStageCacheLookup).count,
+            10u);
+  for (const ProfilerItem item :
+       {ProfilerItem::kStageCandidateGen, ProfilerItem::kStageRerank,
+        ProfilerItem::kStageCacheLookup}) {
+    const ProfilerItemSnapshot stage = ProfilerItemOf(*engine, item);
+    EXPECT_EQ(stage.histogram.total(), stage.count) << stage.name;
+    EXPECT_LE(stage.p50_seconds, stage.p95_seconds);
+    EXPECT_LE(stage.p95_seconds, stage.p99_seconds);
+    EXPECT_GT(stage.p50_seconds, 0.0);
     // The max counter cannot sit below the histogram's p99 by more
     // than one bucket width (both saw the same samples).
-    EXPECT_LE(stage->p99_seconds,
-              std::max(stage->max_seconds * 1.34, 1e-7 * 1.34));
+    EXPECT_LE(stage.p99_seconds,
+              std::max(stage.max_seconds * 1.34, 1e-7 * 1.34));
   }
 }
 
@@ -651,18 +659,8 @@ TEST_F(EngineCacheTest, RecommendBatchReportsItsPin) {
   EXPECT_EQ(pin.matrix_version, matrix_.version());
   EXPECT_EQ(pin.sum_version, sums_.version());
 
-  // The inline (sequential, caller-thread) micro-batch primitive is
-  // byte-identical at the same pin.
-  BatchPin inline_pin;
-  const auto inline_responses =
-      engine->RecommendBatchInline(requests, &inline_pin);
-  EXPECT_EQ(inline_pin.matrix_version, pin.matrix_version);
-  EXPECT_EQ(inline_pin.sum_version, pin.sum_version);
-  ASSERT_EQ(inline_responses.size(), responses.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok());
-    ASSERT_TRUE(inline_responses[i].ok());
-    ExpectSameItems(responses[i].value(), inline_responses[i].value());
+  for (const auto& response : responses) {
+    EXPECT_TRUE(response.ok());
   }
 }
 
@@ -670,9 +668,7 @@ TEST_F(EngineCacheTest, RecommendBatchPinsOneSnapshotForTheWholeBatch) {
   ASSERT_TRUE(
       sums_.Apply(sum::SumUpdate(0).SetSensibility(Enthusiastic(), 0.5))
           .ok());
-  EngineConfig config;
-  config.batch_threads = 4;
-  auto engine = MakeEngine(config);
+  auto engine = MakeEngine();
   SetItemProfiles(engine.get());
 
   // The same request repeated across one batch: because the whole
@@ -715,9 +711,7 @@ TEST_F(EngineCacheTest, RecommendBatchWhileUpdatesLand) {
   ASSERT_TRUE(
       sums_.Apply(sum::SumUpdate(0).SetSensibility(Enthusiastic(), 0.5))
           .ok());
-  EngineConfig config;
-  config.batch_threads = 4;
-  auto engine = MakeEngine(config);
+  auto engine = MakeEngine();
   SetItemProfiles(engine.get());
 
   std::vector<RecommendRequest> requests;

@@ -261,9 +261,7 @@ TEST_F(EngineTest, EmotionOverrideReplacesStoreLookup) {
 
 TEST_F(EngineTest, BatchMatchesSequentialExactly) {
   SetSensibility(0, eit::EmotionalAttribute::kMotivated, 0.8);
-  EngineConfig config;
-  config.batch_threads = 4;
-  auto engine = MakeEngine(config);
+  auto engine = MakeEngine();
   for (ItemId item = 0; item < 10; ++item) {
     EmotionProfile profile{};
     profile[static_cast<size_t>(eit::EmotionalAttribute::kMotivated)] =
@@ -305,9 +303,7 @@ TEST_F(EngineTest, BatchMatchesSequentialExactly) {
 }
 
 TEST_F(EngineTest, BatchReportsPerRequestErrors) {
-  EngineConfig config;
-  config.batch_threads = 2;
-  auto engine = MakeEngine(config);
+  auto engine = MakeEngine();
   std::vector<RecommendRequest> requests(3);
   requests[0].user = 0;
   requests[1].user = 1;

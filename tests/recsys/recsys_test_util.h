@@ -1,6 +1,9 @@
 #ifndef SPA_TESTS_RECSYS_RECSYS_TEST_UTIL_H_
 #define SPA_TESTS_RECSYS_RECSYS_TEST_UTIL_H_
 
+#include "common/profiler.h"
+#include "common/status.h"
+#include "recsys/engine.h"
 #include "recsys/interaction_matrix.h"
 #include "recsys/recommender.h"
 
@@ -17,6 +20,26 @@ inline std::vector<Scored> RecommendTopK(const Recommender& rec,
   query.k = k;
   query.exclude_seen = ExcludeSeen::kYes;
   return rec.RecommendCandidates(query);
+}
+
+/// Result-returning spelling of `RecommendFallbackInto`.
+inline spa::Result<RecommendResponse> ServeFallback(
+    const RecsysEngine& engine, const RecommendRequest& request,
+    BatchPin* pin = nullptr) {
+  RecommendResponse response;
+  SPA_RETURN_IF_ERROR(engine.RecommendFallbackInto(request, &response, pin));
+  return response;
+}
+
+/// One item of the engine profiler's snapshot (all zeros when the item
+/// never recorded).
+inline ProfilerItemSnapshot ProfilerItemOf(const RecsysEngine& engine,
+                                           ProfilerItem item) {
+  for (const ProfilerItemSnapshot& s :
+       engine.profiler().Snapshot(ProfilerLevel::kL3).items) {
+    if (s.item == item) return s;
+  }
+  return {};
 }
 
 /// Users 0-4 like items 0-4; users 5-9 like items 5-9; user 0 has not

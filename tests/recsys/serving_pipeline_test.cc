@@ -16,6 +16,7 @@
 #include "recsys/engine.h"
 #include "recsys/knn_cf.h"
 #include "recsys/popularity.h"
+#include "recsys/recsys_test_util.h"
 #include "sum/sum_service.h"
 
 /// The streaming serving pipeline. The load-bearing claims tested here:
@@ -35,7 +36,7 @@
 ///  * **Deadline degradation**: under kDegrade the pipeline sheds by
 ///    remaining slack — expired reads drop with a status, pressed
 ///    reads get the popularity fallback tier, flagged `degraded` and
-///    bitwise-equal to `RecommendFallback` at their pinned matrix
+///    bitwise-equal to `RecommendFallbackInto` at their pinned matrix
 ///    version. The differential harness runs with mixed deadline
 ///    pressure and classifies every outcome.
 ///  * **Writer priority**: queued writes drain before queued reads.
@@ -449,7 +450,7 @@ void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
       if (reads[i].degraded) {
         BatchPin fb_pin;
         const auto fallback =
-            ref_engine->RecommendFallback(reads[i].request, &fb_pin);
+            ServeFallback(*ref_engine, reads[i].request, &fb_pin);
         ASSERT_TRUE(fallback.ok());
         EXPECT_EQ(fb_pin.matrix_version, target.matrix_version);
         EXPECT_EQ(fb_pin.sum_version, target.sum_version);
@@ -727,7 +728,7 @@ TEST(ServingPipelineTest, DegradeFallbackServesTheMostPressedWhenFull) {
   const RecommendResponse& degraded = tickets[1]->response().value();
   EXPECT_TRUE(degraded.degraded);
   // Deterministic vs the engine's own fallback tier at the same state.
-  const auto reference = stack.engine->RecommendFallback(stack.Request(1));
+  const auto reference = ServeFallback(*stack.engine, stack.Request(1));
   ASSERT_TRUE(reference.ok());
   ExpectBitwiseEqual(degraded, reference.value(), "degraded r1");
 
@@ -1038,6 +1039,114 @@ TEST(ServingPipelineTest, DestructorDrainsAdmittedTickets) {
 
 // ---- TSAN stress (in the CI TSAN job's regex) ------------------------------
 
+TEST(ServingPipelineTest, StatsCountEveryTicketByTheTimeWaitReturns) {
+  // Every counter an op touches is updated before its ticket completes,
+  // so stats() read right after Wait() already counts the op. Each
+  // producer waits on every ticket it submits and publishes what it
+  // observed; every later stats() read must cover the published
+  // totals. The mix covers full reads, interaction batches, SUM
+  // publishes, and kDegrade fallback serves and expired drops (tight
+  // deadlines plus a two-slot read lane).
+  sum::AttributeCatalog catalog =
+      sum::AttributeCatalog::EmagisterDefault();
+  InteractionMatrix matrix = MakeMatrix(23, /*shards=*/4);
+  sum::SumService sums(&catalog);
+  BootstrapSums(&sums, catalog, 23);
+  auto engine = MakeEngine(&sums, &matrix, 23, /*cache_capacity=*/64);
+
+  PipelineConfig config;
+  config.workers = 3;
+  config.queue_capacity = 2;
+  config.writer_queue_capacity = 64;  // never full: no write is shed
+  config.policy = BackpressurePolicy::kDegrade;
+  config.max_batch = 4;
+  ServingPipeline pipeline(engine.get(), &sums, config);
+
+  constexpr int kProducers = 3;
+  constexpr int kOpsPerProducer = 150;
+  std::atomic<uint64_t> full_reads{0};
+  std::atomic<uint64_t> fallbacks{0};
+  std::atomic<uint64_t> drops{0};
+  std::atomic<uint64_t> updates{0};
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Rng rng(300 + static_cast<uint64_t>(p));
+      const auto attributes = eit::AllEmotionalAttributes();
+      for (int i = 0; i < kOpsPerProducer; ++i) {
+        const double roll = rng.Uniform();
+        spa::Result<StreamTicketPtr> ticket(
+            spa::Status::Internal("unset"));
+        if (roll < 0.7) {
+          RecommendRequest request;
+          request.user = static_cast<UserId>(
+              rng.UniformInt(0, static_cast<int64_t>(kUsers) - 1));
+          request.k = 4;
+          // Half the reads carry a deadline tight enough to degrade
+          // or expire; the rest never expire.
+          ticket = roll < 0.35
+                       ? pipeline.SubmitWithDeadline(std::move(request),
+                                                     20e-6)
+                       : pipeline.Submit(std::move(request));
+        } else if (roll < 0.85) {
+          ticket = pipeline.SubmitInteractions(
+              {{static_cast<UserId>(rng.UniformInt(
+                    0, static_cast<int64_t>(kUsers) - 1)),
+                static_cast<ItemId>(rng.UniformInt(
+                    0, static_cast<int64_t>(kItems) - 1)),
+                rng.Uniform(0.2, 3.0)}});
+        } else {
+          const auto attr = attributes[static_cast<size_t>(rng.UniformInt(
+              0, static_cast<int64_t>(attributes.size()) - 1))];
+          std::vector<sum::SumUpdate> batch;
+          batch.push_back(
+              sum::SumUpdate(static_cast<sum::UserId>(rng.UniformInt(
+                                 0, static_cast<int64_t>(kUsers) - 1)))
+                  .Reward(catalog.EmotionalId(attr), 0.2));
+          ticket = pipeline.SubmitSumUpdates(std::move(batch));
+        }
+        ASSERT_TRUE(ticket.ok());
+        const StreamTicketPtr& t = ticket.value();
+        const TicketState state = t->Wait();
+        if (t->kind() != StreamOpKind::kRecommend) {
+          ASSERT_EQ(state, TicketState::kDone);
+          updates.fetch_add(1);
+        } else if (state == TicketState::kShed) {
+          drops.fetch_add(1);
+        } else {
+          ASSERT_TRUE(t->response().ok());
+          (t->response().value().degraded ? fallbacks : full_reads)
+              .fetch_add(1);
+        }
+        // Load what every producer has observed so far, then read the
+        // stats: they must already count all of it.
+        const uint64_t seen_full = full_reads.load();
+        const uint64_t seen_fallbacks = fallbacks.load();
+        const uint64_t seen_drops = drops.load();
+        const uint64_t seen_updates = updates.load();
+        const PipelineStats stats = pipeline.stats();
+        ASSERT_GE(stats.responses, seen_full + seen_fallbacks);
+        ASSERT_GE(stats.fallback_served, seen_fallbacks);
+        ASSERT_GE(stats.expired_drops, seen_drops);
+        ASSERT_GE(stats.shed_reads, seen_drops);
+        ASSERT_GE(stats.updates_applied, seen_updates);
+        ASSERT_GE(stats.batches * config.max_batch, seen_full);
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+
+  const PipelineStats stats = pipeline.stats();
+  EXPECT_EQ(stats.responses, full_reads.load() + fallbacks.load());
+  EXPECT_EQ(stats.fallback_served, fallbacks.load());
+  EXPECT_EQ(stats.expired_drops, drops.load());
+  EXPECT_EQ(stats.shed_reads, drops.load());
+  EXPECT_EQ(stats.updates_applied, updates.load());
+  EXPECT_EQ(stats.shed_writes, 0u);
+  EXPECT_EQ(stats.admitted, stats.submitted);
+}
+
 TEST(ServingPipelineTest, TsanStressServeWhileStreamingUpdates) {
   sum::AttributeCatalog catalog =
       sum::AttributeCatalog::EmagisterDefault();
@@ -1106,7 +1215,7 @@ TEST(ServingPipelineTest, TsanStressServeWhileStreamingUpdates) {
       (void)pipeline.stats();
       (void)pipeline.queue_depth();
       (void)pipeline.writer_queue_depth();
-      (void)engine->stage_stats();
+      (void)engine->profiler().Snapshot(ProfilerLevel::kL3);
       std::this_thread::yield();
     }
   });

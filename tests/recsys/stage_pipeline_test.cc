@@ -10,18 +10,18 @@
 #include "gtest/gtest.h"
 #include "recsys/engine.h"
 #include "recsys/knn_cf.h"
-#include "recsys/serving_pipeline.h"
 #include "sum/sum_service.h"
 
-/// The staged serving dataflow (`RecsysEngine::RecommendBatchStaged`:
-/// admit → candidate-gen → blend → rerank → explain, stage-major
-/// across a micro-batch). The load-bearing claim tested here is
-/// **bitwise parity**: at the same `BatchPin`, the staged path must
-/// reproduce the fused inline path byte-for-byte — every score, every
-/// breakdown field, every error — for every request shape the serving
-/// API admits (explain, exclusions, allowlists, overrides, duplicates,
-/// invalid requests). The TSAN stress case runs under TSAN in CI
-/// (StagePipelineTest is in the TSAN job's ctest regex).
+/// The engine's serve core (admit → candidate-gen → blend → rerank →
+/// explain, stage-major across a batch). The load-bearing claim tested
+/// here is the **batch contract**: `RecommendBatch` at its `BatchPin`
+/// is bitwise equal to sequential `RecommendInto` calls on a cold
+/// reference engine at the same pin — every score, every breakdown
+/// field, every error — for every request shape the serving API admits
+/// (explain, exclusions, allowlists, overrides, duplicates, invalid
+/// requests), through cache hits and across a live update. The TSAN
+/// stress case runs under TSAN in CI (StagePipelineTest is in the TSAN
+/// job's ctest regex).
 
 namespace spa::recsys {
 namespace {
@@ -108,11 +108,11 @@ std::vector<RecommendRequest> MakeRequestMix(
     }
     requests.push_back(std::move(request));
   }
-  // Duplicates: the staged batch computes both, bytes must not change.
+  // Duplicates: one batch computes both, bytes must not change.
   requests.push_back(requests.front());
   requests.push_back(requests[4]);
-  // Invalid: k == 0 and an empty allowlist fail validation on both
-  // paths with the same verdict.
+  // Invalid: k == 0 and an empty allowlist fail validation in the
+  // batch and in the reference with the same verdict.
   RecommendRequest bad_k;
   bad_k.user = 1;
   bad_k.k = 0;
@@ -128,6 +128,7 @@ void ExpectBitwiseEqual(const RecommendResponse& a,
                         const RecommendResponse& b,
                         const std::string& context) {
   EXPECT_EQ(a.user, b.user) << context;
+  EXPECT_EQ(a.degraded, b.degraded) << context;
   EXPECT_EQ(a.emotion_applied, b.emotion_applied) << context;
   EXPECT_EQ(a.explained, b.explained) << context;
   ASSERT_EQ(a.items.size(), b.items.size()) << context;
@@ -159,16 +160,52 @@ void ExpectBitwiseEqual(const RecommendResponse& a,
 }
 
 void ExpectSameResults(
-    const std::vector<spa::Result<RecommendResponse>>& staged,
-    const std::vector<spa::Result<RecommendResponse>>& fused,
+    const std::vector<spa::Result<RecommendResponse>>& batch,
+    const std::vector<spa::Result<RecommendResponse>>& reference,
     const std::string& context) {
-  ASSERT_EQ(staged.size(), fused.size()) << context;
-  for (size_t i = 0; i < staged.size(); ++i) {
+  ASSERT_EQ(batch.size(), reference.size()) << context;
+  for (size_t i = 0; i < batch.size(); ++i) {
     const std::string at = context + " request " + std::to_string(i);
-    ASSERT_EQ(staged[i].ok(), fused[i].ok()) << at;
-    if (!staged[i].ok()) continue;
-    ExpectBitwiseEqual(staged[i].value(), fused[i].value(), at);
+    ASSERT_EQ(batch[i].ok(), reference[i].ok()) << at;
+    if (!batch[i].ok()) {
+      EXPECT_EQ(batch[i].status().code(), reference[i].status().code())
+          << at;
+      continue;
+    }
+    ExpectBitwiseEqual(batch[i].value(), reference[i].value(), at);
   }
+}
+
+/// The contract's reference side: `requests` served one at a time
+/// through `RecommendInto`, recycling a single response slot.
+std::vector<spa::Result<RecommendResponse>> ServeSequentially(
+    const RecsysEngine& engine,
+    const std::vector<RecommendRequest>& requests) {
+  std::vector<spa::Result<RecommendResponse>> out;
+  RecommendResponse slot;
+  for (const RecommendRequest& request : requests) {
+    const spa::Status status = engine.RecommendInto(request, &slot);
+    if (status.ok()) {
+      out.emplace_back(slot);
+    } else {
+      out.emplace_back(status);
+    }
+  }
+  return out;
+}
+
+/// The consistency point an engine serves at right now (an empty batch
+/// pins without serving anything).
+BatchPin PinOf(const RecsysEngine& engine) {
+  BatchPin pin;
+  EXPECT_TRUE(engine.RecommendBatch({}, &pin).empty());
+  return pin;
+}
+
+void ExpectSamePin(const BatchPin& a, const BatchPin& b) {
+  EXPECT_EQ(a.fit_epoch, b.fit_epoch);
+  EXPECT_EQ(a.matrix_version, b.matrix_version);
+  EXPECT_EQ(a.sum_version, b.sum_version);
 }
 
 class StagePipelineTest : public ::testing::Test {
@@ -176,44 +213,69 @@ class StagePipelineTest : public ::testing::Test {
   Stack stack_;
 };
 
-TEST_F(StagePipelineTest, StagedMatchesInlineBitwiseOnColdEngines) {
-  // Two identically-fitted engines, both computing from scratch: the
-  // stage-major batch must reproduce the fused per-request loop
-  // byte-for-byte, same pins, same errors.
-  auto staged_engine = stack_.MakeEngine(/*cache_capacity=*/0);
-  auto fused_engine = stack_.MakeEngine(/*cache_capacity=*/0);
+TEST_F(StagePipelineTest, BatchMatchesSequentialIntoOnColdReference) {
+  // A cold cached engine serving one batch against an uncached
+  // reference serving the same requests one by one: same pin, same
+  // bytes, same errors.
+  auto engine = stack_.MakeEngine(/*cache_capacity=*/256);
+  auto reference = stack_.MakeEngine(/*cache_capacity=*/0);
   const auto requests = MakeRequestMix(stack_.sums);
 
-  BatchPin staged_pin, fused_pin;
-  const auto staged =
-      staged_engine->RecommendBatchStaged(requests, &staged_pin);
-  const auto fused =
-      fused_engine->RecommendBatchInline(requests, &fused_pin);
-  ExpectSameResults(staged, fused, "cold");
-  EXPECT_EQ(staged_pin.fit_epoch, fused_pin.fit_epoch);
-  EXPECT_EQ(staged_pin.matrix_version, fused_pin.matrix_version);
-  EXPECT_EQ(staged_pin.sum_version, fused_pin.sum_version);
+  BatchPin pin;
+  const auto batch = engine->RecommendBatch(requests, &pin);
+  ExpectSamePin(pin, PinOf(*reference));
+  ExpectSameResults(batch, ServeSequentially(*reference, requests),
+                    "cold");
+  // Every admission probes the cache before any insert, so the
+  // in-batch duplicates computed too: no hit, one miss per cacheable
+  // valid request.
+  const EngineCacheStats stats = engine->cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  size_t cacheable = 0;
+  for (const auto& request : requests) {
+    if (request.k > 0 && !(request.candidate_items.has_value() &&
+                           request.candidate_items->empty()) &&
+        request.emotion_override == nullptr) {
+      ++cacheable;
+    }
+  }
+  EXPECT_EQ(stats.misses, cacheable);
 }
 
-TEST_F(StagePipelineTest, StagedMatchesInlineThroughCacheAndUpdates) {
-  // One engine, served in alternating staged/inline rounds across a
-  // live-update boundary: cache hits, recomputes and re-stamped
-  // entries must all produce identical bytes on both paths.
+TEST_F(StagePipelineTest, BatchMatchesColdReferenceThroughCacheAndUpdates) {
+  // One engine served round after round: cache hits, then (across a
+  // live update) re-stamped hits, re-warmed entries and recomputes
+  // must all match a freshly fitted reference at the same pin.
   auto engine = stack_.MakeEngine(/*cache_capacity=*/256);
   const auto requests = MakeRequestMix(stack_.sums);
+  (void)engine->RecommendBatch(requests);
 
-  const auto round1_staged = engine->RecommendBatchStaged(requests);
-  const auto round1_inline = engine->RecommendBatchInline(requests);
-  ExpectSameResults(round1_staged, round1_inline, "warm");
+  BatchPin warm_pin;
+  const auto warm = engine->RecommendBatch(requests, &warm_pin);
   EXPECT_GT(engine->cache_stats().hits, 0u);
+  {
+    auto reference = stack_.MakeEngine(/*cache_capacity=*/0);
+    ExpectSamePin(warm_pin, PinOf(*reference));
+    ExpectSameResults(warm, ServeSequentially(*reference, requests),
+                      "cache hits");
+  }
 
-  std::vector<Interaction> batch = {{2, 1, 1.0}, {5, 7, 0.5},
-                                    {2, 3, 2.0}};
-  ASSERT_TRUE(engine->ApplyInteractions(batch).ok());
+  // Users 3 and 6 are in the mix, so their invalidated entries are
+  // hot enough (two accesses) to be re-warmed.
+  std::vector<Interaction> batch = {{3, 1, 1.0}, {6, 7, 0.5},
+                                    {3, 3, 2.0}};
+  const auto report = engine->ApplyInteractions(batch);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report.value().entries_rewarmed, 0u);
 
-  const auto round2_staged = engine->RecommendBatchStaged(requests);
-  const auto round2_inline = engine->RecommendBatchInline(requests);
-  ExpectSameResults(round2_staged, round2_inline, "post-update");
+  BatchPin post_pin;
+  const auto post = engine->RecommendBatch(requests, &post_pin);
+  EXPECT_GT(post_pin.matrix_version, warm_pin.matrix_version);
+  // Refitting at the post-update matrix gives the cold reference.
+  auto reference = stack_.MakeEngine(/*cache_capacity=*/0);
+  ExpectSamePin(post_pin, PinOf(*reference));
+  ExpectSameResults(post, ServeSequentially(*reference, requests),
+                    "post-update");
 }
 
 TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
@@ -225,7 +287,7 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
     request.k = 3;
     requests.push_back(request);
   }
-  (void)engine->RecommendBatchStaged(requests);
+  (void)engine->RecommendBatch(requests);
 
   const ProfilerSnapshot snap =
       engine->profiler().Snapshot(ProfilerLevel::kL3);
@@ -233,6 +295,9 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
     switch (s.item) {
       case ProfilerItem::kBatchServe:
         EXPECT_EQ(s.count, 1u);
+        break;
+      case ProfilerItem::kRequestServe:
+        EXPECT_EQ(s.count, 0u);  // batches record batch.serve only
         break;
       case ProfilerItem::kStageCandidateGen:
       case ProfilerItem::kStageBlend:
@@ -250,63 +315,13 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
         break;
     }
   }
-  // stage_stats() is a projection of the same L2 banks.
-  const StageStats stages = engine->stage_stats();
-  EXPECT_EQ(stages.candidate_gen.count, requests.size());
-  EXPECT_EQ(stages.rerank.count, requests.size());
-}
-
-TEST_F(StagePipelineTest, StagedPipelineMatchesInlinePipeline) {
-  // The same submissions drained by a staged pipeline and an inline
-  // pipeline over identically-fitted stacks: responses must match
-  // bitwise at matching pins.
-  auto staged_engine = stack_.MakeEngine(/*cache_capacity=*/128);
-  auto fused_engine = stack_.MakeEngine(/*cache_capacity=*/128);
-  PipelineConfig staged_config;
-  staged_config.workers = 2;
-  staged_config.staged = true;
-  PipelineConfig fused_config = staged_config;
-  fused_config.staged = false;
-
-  std::vector<StreamTicketPtr> staged_tickets, fused_tickets;
-  {
-    ServingPipeline staged_pipeline(staged_engine.get(), &stack_.sums,
-                                    staged_config);
-    ServingPipeline fused_pipeline(fused_engine.get(), &stack_.sums,
-                                   fused_config);
-    for (size_t u = 0; u < 30; ++u) {
-      RecommendRequest request;
-      request.user = static_cast<UserId>(u % kUsers);
-      request.k = 4;
-      request.explain = (u % 2 == 0);
-      auto staged_ticket = staged_pipeline.Submit(request);
-      auto fused_ticket = fused_pipeline.Submit(request);
-      ASSERT_TRUE(staged_ticket.ok());
-      ASSERT_TRUE(fused_ticket.ok());
-      staged_tickets.push_back(std::move(staged_ticket).value());
-      fused_tickets.push_back(std::move(fused_ticket).value());
-    }
-    for (const auto& ticket : staged_tickets) {
-      EXPECT_EQ(ticket->Wait(), TicketState::kDone);
-    }
-    for (const auto& ticket : fused_tickets) {
-      EXPECT_EQ(ticket->Wait(), TicketState::kDone);
-    }
-  }
-  for (size_t i = 0; i < staged_tickets.size(); ++i) {
-    const auto& staged = staged_tickets[i]->response();
-    const auto& fused = fused_tickets[i]->response();
-    ASSERT_TRUE(staged.ok());
-    ASSERT_TRUE(fused.ok());
-    ExpectBitwiseEqual(staged.value(), fused.value(),
-                       "pipeline request " + std::to_string(i));
-  }
 }
 
 TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
-  // Staged batches racing live updates and SUM publishes: the staged
-  // path holds the shared serve lock for the whole batch while the
-  // profiler records from every thread. Run under TSAN in CI.
+  // Batches racing live updates: each batch holds the shared serve
+  // lock for its whole run while the writer re-warms through the same
+  // serve core and the profiler records from every thread. Run under
+  // TSAN in CI.
   auto engine = stack_.MakeEngine(/*cache_capacity=*/64);
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -322,7 +337,7 @@ TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
         requests.push_back(request);
       }
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto results = engine->RecommendBatchStaged(requests);
+        const auto results = engine->RecommendBatch(requests);
         for (const auto& result : results) {
           EXPECT_TRUE(result.ok());
         }
@@ -346,13 +361,12 @@ TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   writer.join();
-  // Quiescent now: every stage histogram agrees with its counter.
-  const StageStats stages = engine->stage_stats();
-  EXPECT_EQ(stages.candidate_gen.histogram.total(),
-            stages.candidate_gen.count);
-  EXPECT_EQ(stages.rerank.histogram.total(), stages.rerank.count);
-  EXPECT_EQ(stages.cache_lookup.histogram.total(),
-            stages.cache_lookup.count);
+  // Quiescent now: every histogram agrees with its counter.
+  const ProfilerSnapshot snap =
+      engine->profiler().Snapshot(ProfilerLevel::kL3);
+  for (const ProfilerItemSnapshot& s : snap.items) {
+    EXPECT_EQ(s.histogram.total(), s.count) << s.name;
+  }
 }
 
 }  // namespace
