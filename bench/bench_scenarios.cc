@@ -7,7 +7,7 @@
 //     ServingPipeline and the sharded ServingRouter — at a rate
 //     calibrated to the deployment's measured capacity;
 //   * each run reports throughput, p50/p95/p99 end-to-end latency,
-//     per-lane rejected/shed counts, queue-depth high-water marks,
+//     per-lane shed counts, queue-depth high-water marks,
 //     cache hit-rate, and its SLO verdict (p99 bound + shed budget);
 //   * sampled responses are re-served synchronously at their pinned
 //     (matrix_version, sum_version) on an offline reference and
@@ -129,8 +129,7 @@ int Main(int argc, char** argv) {
           outcome.scenario.c_str(), outcome.backend.c_str(),
           outcome.offered_rps, outcome.achieved_rps, outcome.p50_ms,
           outcome.p99_ms,
-          static_cast<unsigned long long>(outcome.shed_reads +
-                                          outcome.rejected_reads),
+          static_cast<unsigned long long>(outcome.shed_reads),
           outcome.cache_hit_rate, outcome.slo_pass ? "PASS" : "FAIL",
           outcome.parity ? "OK" : "MISMATCH", outcome.parity_checked);
       outcomes.push_back(outcome);
@@ -222,7 +221,6 @@ int Main(int argc, char** argv) {
         e2e.p50, e2e.p95, e2e.p99);
     json += StrFormat(
         "\"responses\": %llu, \"updates\": %llu, "
-        "\"rejected_reads\": %llu, \"rejected_writes\": %llu, "
         "\"shed_reads\": %llu, \"shed_writes\": %llu, "
         "\"fallback_served\": %llu, \"expired_drops\": %llu, "
         "\"max_queue_depth\": %llu, \"max_writer_queue_depth\": %llu, "
@@ -230,8 +228,6 @@ int Main(int argc, char** argv) {
         "\"parity\": %s, \"slo_pass\": %s}%s\n",
         static_cast<unsigned long long>(o.responses),
         static_cast<unsigned long long>(o.updates_applied),
-        static_cast<unsigned long long>(o.rejected_reads),
-        static_cast<unsigned long long>(o.rejected_writes),
         static_cast<unsigned long long>(o.shed_reads),
         static_cast<unsigned long long>(o.shed_writes),
         static_cast<unsigned long long>(o.fallback_served),

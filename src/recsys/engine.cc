@@ -16,6 +16,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Cache tiering (see the engine.h file doc).
+/// Multiplier applied to every user frequency count per decay epoch.
+constexpr double kCacheDecayFactor = 0.5;
+/// Cacheable lookups between frequency decay epochs.
+constexpr uint64_t kCacheDecayInterval = 4096;
+/// Max cache entries one ApplyInteractions re-warms.
+constexpr size_t kRewarmLimit = 64;
+/// Min decayed user frequency for an invalidated entry to be re-warmed.
+constexpr double kRewarmMinFrequency = 2.0;
+/// Workers of the pool ApplyInteractions replays a sharded batch on,
+/// one task per shard (0 = hardware concurrency).
+constexpr size_t kShardReplayThreads = 0;
+
 uint64_t Mix(uint64_t h, uint64_t v) {
   return SplitMix64(h ^ SplitMix64(v));
 }
@@ -128,9 +141,7 @@ RecsysEngine::RecsysEngine(EngineConfig config)
       hybrid_(std::make_unique<HybridRecommender>(
           HybridConfig{config.component_depth})),
       reranker_(config.rerank),
-      user_freq_(FrequencyMapConfig{/*shards=*/16, config.cache_decay_factor,
-                                    /*min_count=*/0.5}),
-      item_freq_(FrequencyMapConfig{/*shards=*/16, config.cache_decay_factor,
+      user_freq_(FrequencyMapConfig{/*shards=*/16, kCacheDecayFactor,
                                     /*min_count=*/0.5}),
       profiler_(config.profiler_level) {
   SPA_CHECK(config_.rerank_overfetch > 0);
@@ -269,8 +280,6 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
     CacheKey key;
   };
   std::vector<RewarmCandidate> rewarm;
-  const bool want_rewarm = config_.rewarm_limit > 0 &&
-                           config_.response_cache_capacity > 0;
   if (config_.response_cache_capacity > 0) {
     std::lock_guard<std::mutex> cache_lock(cache_mutex_);
     for (auto it = cache_lru_.begin(); it != cache_lru_.end();) {
@@ -280,10 +289,10 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
       // its user for *this* batch.
       if (outcome.all_users || affected.contains(it->key.user) ||
           it->matrix_version != pre_version) {
-        if (want_rewarm && it->matrix_version == pre_version) {
+        if (it->matrix_version == pre_version) {
           const double freq =
               user_freq_.Count(static_cast<uint64_t>(it->key.user));
-          if (freq >= config_.rewarm_min_frequency) {
+          if (freq >= kRewarmMinFrequency) {
             rewarm.push_back({freq, std::move(it->key)});
           }
         }
@@ -316,9 +325,7 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
                 if (a.key.user != b.key.user) return a.key.user < b.key.user;
                 return a.key.k < b.key.k;
               });
-    if (rewarm.size() > config_.rewarm_limit) {
-      rewarm.resize(config_.rewarm_limit);
-    }
+    if (rewarm.size() > kRewarmLimit) rewarm.resize(kRewarmLimit);
     std::vector<RecommendRequest> requests(rewarm.size());
     for (size_t i = 0; i < rewarm.size(); ++i) {
       CacheKey& key = rewarm[i].key;
@@ -435,14 +442,6 @@ void RecsysEngine::CacheInsert(uint64_t hash,
                                uint64_t sum_user_version,
                                const RecommendResponse& response) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  // Hot-item telemetry: computed (cacheable) responses credit their
-  // surviving items, admission outcome notwithstanding. Re-warm
-  // recomputes do not count as organic accesses.
-  if (!rewarm_in_progress_) {
-    for (const RecommendedItem& item : response.items) {
-      item_freq_.Touch(static_cast<uint64_t>(item.item));
-    }
-  }
   const auto it = cache_index_.find(hash);
   if (it != cache_index_.end()) {
     cache_lru_.erase(it->second);
@@ -453,8 +452,7 @@ void RecsysEngine::CacheInsert(uint64_t hash,
   // one-hit wonders cannot churn the hot set — while ties admit, so
   // uniform traffic degrades to plain LRU (and the LRU tests' exact
   // eviction counts still hold).
-  if (config_.cache_frequency_admission &&
-      cache_lru_.size() >= config_.response_cache_capacity) {
+  if (cache_lru_.size() >= config_.response_cache_capacity) {
     const double newcomer =
         user_freq_.Count(static_cast<uint64_t>(request.user));
     const double victim = user_freq_.Count(
@@ -500,21 +498,13 @@ EngineCacheStats RecsysEngine::cache_stats() const {
 }
 
 void RecsysEngine::MaybeDecayFrequencies() const {
-  if (config_.cache_decay_interval == 0) return;
   const uint64_t lookups =
       lookups_since_decay_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (lookups % config_.cache_decay_interval == 0) {
-    user_freq_.Decay();
-    item_freq_.Decay();
-  }
+  if (lookups % kCacheDecayInterval == 0) user_freq_.Decay();
 }
 
 double RecsysEngine::user_frequency(UserId user) const {
   return user_freq_.Count(static_cast<uint64_t>(user));
-}
-
-double RecsysEngine::item_frequency(ItemId item) const {
-  return item_freq_.Count(static_cast<uint64_t>(item));
 }
 
 FrequencyMapStats RecsysEngine::user_frequency_stats() const {
@@ -886,7 +876,7 @@ void RecsysEngine::ServeExplain(const RecommendRequest& request,
 
 ThreadPool* RecsysEngine::EnsurePool() {
   if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(config_.batch_threads);
+    pool_ = std::make_unique<ThreadPool>(kShardReplayThreads);
   }
   return pool_.get();
 }

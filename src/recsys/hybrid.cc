@@ -194,13 +194,6 @@ void HybridRecommender::BlendFetchedInto(
   std::sort(blended->begin(), blended->end(), by_score_then_item);
 }
 
-std::vector<Scored> HybridRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  RecommendCandidatesInto(query, &out);
-  return out;
-}
-
 void HybridRecommender::RecommendCandidatesInto(
     const CandidateQuery& query, std::vector<Scored>* out) const {
   const std::vector<Blended> blended =

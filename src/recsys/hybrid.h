@@ -32,8 +32,6 @@ class HybridRecommender : public Recommender {
   /// affected users, OR of the all-users/full-rebuild flags, summed
   /// costs).
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "WeightedHybrid"; }

@@ -123,8 +123,8 @@ class ShardedInteractionMatrix {
   const std::vector<ItemId>& items() const { return global_->item_order; }
 
   /// Squared L2 norm of a user's interaction vector. O(1): maintained
-  /// incrementally by Add (norms sit on every cosine-similarity path,
-  /// both lazy and index-build).
+  /// incrementally by Add (norms sit on every cosine-similarity path:
+  /// the index build and its lazy test reference).
   double UserNormSquared(UserId user) const;
   /// Squared L2 norm of an item's interaction vector. O(1).
   double ItemNormSquared(ItemId item) const;

@@ -173,7 +173,7 @@ struct ScoreWorkspace {
 };
 
 /// The fallback workspace for direct recommender calls that did not
-/// thread one through the query (tests, lazy benches): one per thread,
+/// thread one through the query (tests, benches): one per thread,
 /// backed by the process-wide pool.
 ScoreWorkspace& ThreadLocalWorkspace();
 

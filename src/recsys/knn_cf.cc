@@ -1,9 +1,5 @@
 #include "recsys/knn_cf.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
-
 #include "common/check.h"
 #include "recsys/kernels.h"
 
@@ -22,9 +18,22 @@ SimilarityIndexConfig IndexConfigFrom(const KnnConfig& config) {
   SimilarityIndexConfig out;
   out.top_n = config.neighbors;
   out.min_similarity = config.min_similarity;
-  out.build_threads = config.index_build_threads;
   out.full_rebuild_fraction = config.refresh_full_rebuild_fraction;
   return out;
+}
+
+/// Admitted accumulator entries, sorted and truncated to the query's k.
+void Harvest(const kernels::ScoreAccumulator& acc,
+             const CandidateQuery& query, const InteractionMatrix& matrix,
+             std::vector<Scored>* out) {
+  const size_t scored = acc.size();
+  out->reserve(scored);
+  for (size_t i = 0; i < scored; ++i) {
+    if (query.Admits(&matrix, acc.item(i))) {
+      out->push_back({acc.item(i), acc.score(i)});
+    }
+  }
+  SortAndTruncate(out, query.k);
 }
 
 }  // namespace
@@ -34,11 +43,9 @@ UserKnnRecommender::UserKnnRecommender(KnnConfig config)
 
 spa::Status UserKnnRecommender::Fit(const InteractionMatrix& matrix) {
   matrix_ = &matrix;
-  index_.reset();
-  if (config_.use_index) {
-    index_ = std::make_unique<SimilarityIndex<UserId>>(
-        BuildUserSimilarityIndex(matrix, IndexConfigFrom(config_)));
-  }
+  index_.reset();  // free the old index before building its successor
+  index_ = std::make_unique<SimilarityIndex<UserId>>(
+      BuildUserSimilarityIndex(matrix, IndexConfigFrom(config_)));
   return spa::Status::OK();
 }
 
@@ -50,13 +57,6 @@ spa::Status UserKnnRecommender::Refresh(RefreshOutcome* outcome) {
   if (matrix_ == nullptr) {
     return spa::Status::FailedPrecondition(
         "UserKNN not fitted; nothing to refresh");
-  }
-  if (index_ == nullptr) {
-    // Lazy mode recomputes similarities from the live matrix: any
-    // user sharing an item with an updated user re-ranks differently,
-    // and without an index there is no cheap way to bound that set.
-    outcome->all_users = true;
-    return spa::Status::OK();
   }
   auto report = RefreshUserSimilarityIndex(index_.get(), *matrix_);
   outcome->refreshed_index = true;
@@ -71,19 +71,6 @@ spa::Status UserKnnRecommender::Refresh(RefreshOutcome* outcome) {
                                    report.rows.end());
   }
   return spa::Status::OK();
-}
-
-double UserKnnRecommender::Similarity(UserId a, UserId b) const {
-  return SparseCosine(matrix_->ItemsOf(a), matrix_->ItemsOf(b),
-                      matrix_->UserNormSquared(a),
-                      matrix_->UserNormSquared(b));
-}
-
-std::vector<Scored> UserKnnRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  RecommendCandidatesInto(query, &out);
-  return out;
 }
 
 void UserKnnRecommender::RecommendCandidatesInto(
@@ -101,61 +88,20 @@ void UserKnnRecommender::RecommendCandidatesInto(
   kernels::ScoreWorkspace& ws = kernels::ResolveWorkspace(query.workspace);
   kernels::ScoreAccumulator& acc = ws.acc;
   acc.Begin(/*expected_items=*/64);
-  auto accumulate = [&](UserId other, double sim) {
-    const auto& items = matrix_->ItemsOf(other);
+  SPA_CHECK_MSG(
+      index_->built_version() == matrix_->version(),
+      "stale UserKNN similarity index: the InteractionMatrix was "
+      "mutated after Fit; Refresh() or refit before serving");
+  for (const auto& neighbor : index_->NeighborsOf(user)) {
+    const auto& items = matrix_->ItemsOf(neighbor.id);
     const size_t n = items.size();
-    if (n == 0) return;
+    if (n == 0) continue;
     double* products = ws.EnsureProducts(n);
-    kernels::ScaleGather(&items[0].second, 2, n, sim, products);
+    kernels::ScaleGather(&items[0].second, 2, n, neighbor.similarity,
+                         products);
     for (size_t i = 0; i < n; ++i) acc.Add(items[i].first, products[i]);
-  };
-
-  if (config_.use_index) {
-    SPA_CHECK_MSG(
-        index_->built_version() == matrix_->version(),
-        "stale UserKNN similarity index: the InteractionMatrix was "
-        "mutated after Fit; Refresh() or refit before serving");
-    for (const auto& neighbor : index_->NeighborsOf(user)) {
-      accumulate(neighbor.id, neighbor.similarity);
-    }
-  } else {
-    // Candidate neighbors: users sharing at least one item.
-    const auto& own_items = matrix_->ItemsOf(user);
-    std::unordered_map<UserId, double> similarity;
-    for (const auto& [item, w] : own_items) {
-      for (const auto& [other, w2] : matrix_->UsersOf(item)) {
-        if (other != user) similarity.emplace(other, 0.0);
-      }
-    }
-    for (auto& [other, sim] : similarity) {
-      sim = Similarity(user, other);
-    }
-
-    // Keep the top-k neighbors.
-    std::vector<std::pair<UserId, double>> neighbors(similarity.begin(),
-                                                     similarity.end());
-    std::sort(neighbors.begin(), neighbors.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    if (neighbors.size() > config_.neighbors) {
-      neighbors.resize(config_.neighbors);
-    }
-    for (const auto& [other, sim] : neighbors) {
-      if (sim < config_.min_similarity) continue;
-      accumulate(other, sim);
-    }
   }
-
-  const size_t scored = acc.size();
-  out->reserve(scored);
-  for (size_t i = 0; i < scored; ++i) {
-    if (query.Admits(matrix_, acc.item(i))) {
-      out->push_back({acc.item(i), acc.score(i)});
-    }
-  }
-  SortAndTruncate(out, query.k);
+  Harvest(acc, query, *matrix_, out);
 }
 
 ItemKnnRecommender::ItemKnnRecommender(KnnConfig config)
@@ -163,11 +109,9 @@ ItemKnnRecommender::ItemKnnRecommender(KnnConfig config)
 
 spa::Status ItemKnnRecommender::Fit(const InteractionMatrix& matrix) {
   matrix_ = &matrix;
-  index_.reset();
-  if (config_.use_index) {
-    index_ = std::make_unique<SimilarityIndex<ItemId>>(
-        BuildItemSimilarityIndex(matrix, IndexConfigFrom(config_)));
-  }
+  index_.reset();  // free the old index before building its successor
+  index_ = std::make_unique<SimilarityIndex<ItemId>>(
+      BuildItemSimilarityIndex(matrix, IndexConfigFrom(config_)));
   return spa::Status::OK();
 }
 
@@ -179,10 +123,6 @@ spa::Status ItemKnnRecommender::Refresh(RefreshOutcome* outcome) {
   if (matrix_ == nullptr) {
     return spa::Status::FailedPrecondition(
         "ItemKNN not fitted; nothing to refresh");
-  }
-  if (index_ == nullptr) {
-    outcome->all_users = true;
-    return spa::Status::OK();
   }
   auto report = RefreshItemSimilarityIndex(index_.get(), *matrix_);
   outcome->refreshed_index = true;
@@ -203,19 +143,6 @@ spa::Status ItemKnnRecommender::Refresh(RefreshOutcome* outcome) {
   return spa::Status::OK();
 }
 
-double ItemKnnRecommender::Similarity(ItemId a, ItemId b) const {
-  return SparseCosine(matrix_->UsersOf(a), matrix_->UsersOf(b),
-                      matrix_->ItemNormSquared(a),
-                      matrix_->ItemNormSquared(b));
-}
-
-std::vector<Scored> ItemKnnRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  RecommendCandidatesInto(query, &out);
-  return out;
-}
-
 void ItemKnnRecommender::RecommendCandidatesInto(
     const CandidateQuery& query, std::vector<Scored>* out) const {
   out->clear();
@@ -228,67 +155,21 @@ void ItemKnnRecommender::RecommendCandidatesInto(
   kernels::ScoreWorkspace& ws = kernels::ResolveWorkspace(query.workspace);
   kernels::ScoreAccumulator& acc = ws.acc;
   acc.Begin(/*expected_items=*/64);
-  if (config_.use_index) {
-    SPA_CHECK_MSG(
-        index_->built_version() == matrix_->version(),
-        "stale ItemKNN similarity index: the InteractionMatrix was "
-        "mutated after Fit; Refresh() or refit before serving");
-    for (const auto& [item, weight] : own_items) {
-      const auto& neighbors = index_->NeighborsOf(item);
-      const size_t n = neighbors.size();
-      if (n == 0) continue;
-      double* products = ws.EnsureProducts(n);
-      kernels::ScaleGather(&neighbors[0].similarity, 2, n, weight,
-                           products);
-      for (size_t i = 0; i < n; ++i) {
-        acc.Add(neighbors[i].id, products[i]);
-      }
-    }
-  } else {
-    for (const auto& [item, weight] : own_items) {
-      // The neighborhood of `item`, query-independent — identical to
-      // what the index stores for this row.
-      std::unordered_set<ItemId> candidates;
-      for (const auto& [other_user, w2] : matrix_->UsersOf(item)) {
-        for (const auto& [candidate, w3] :
-             matrix_->ItemsOf(other_user)) {
-          if (candidate != item) candidates.insert(candidate);
-        }
-      }
-      std::vector<std::pair<ItemId, double>> sims;
-      sims.reserve(candidates.size());
-      for (const ItemId candidate : candidates) {
-        const double sim = Similarity(item, candidate);
-        if (sim >= config_.min_similarity) {
-          sims.emplace_back(candidate, sim);
-        }
-      }
-      std::sort(sims.begin(), sims.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.second != b.second) return a.second > b.second;
-                  return a.first < b.first;
-                });
-      if (sims.size() > config_.neighbors) {
-        sims.resize(config_.neighbors);
-      }
-      const size_t n = sims.size();
-      if (n == 0) continue;
-      double* products = ws.EnsureProducts(n);
-      kernels::ScaleGather(&sims[0].second, 2, n, weight, products);
-      for (size_t i = 0; i < n; ++i) {
-        acc.Add(sims[i].first, products[i]);
-      }
+  SPA_CHECK_MSG(
+      index_->built_version() == matrix_->version(),
+      "stale ItemKNN similarity index: the InteractionMatrix was "
+      "mutated after Fit; Refresh() or refit before serving");
+  for (const auto& [item, weight] : own_items) {
+    const auto& neighbors = index_->NeighborsOf(item);
+    const size_t n = neighbors.size();
+    if (n == 0) continue;
+    double* products = ws.EnsureProducts(n);
+    kernels::ScaleGather(&neighbors[0].similarity, 2, n, weight, products);
+    for (size_t i = 0; i < n; ++i) {
+      acc.Add(neighbors[i].id, products[i]);
     }
   }
-
-  const size_t scored = acc.size();
-  out->reserve(scored);
-  for (size_t i = 0; i < scored; ++i) {
-    if (query.Admits(matrix_, acc.item(i))) {
-      out->push_back({acc.item(i), acc.score(i)});
-    }
-  }
-  SortAndTruncate(out, query.k);
+  Harvest(acc, query, *matrix_, out);
 }
 
 }  // namespace spa::recsys

@@ -15,16 +15,15 @@
 /// Neighborhoods are query-independent: the top-k most similar
 /// users/items above `min_similarity`, regardless of which candidates
 /// a particular request admits (exclusions are applied when scores are
-/// accumulated). With `use_index` (the default) they are precomputed
-/// once at `Fit` into a `SimilarityIndex` and serving is a sorted
-/// adjacency walk; with `use_index=false` the same neighborhoods are
-/// recomputed per request — kept as the exact-parity reference path
-/// (both paths produce bitwise-identical rankings).
+/// accumulated). They are precomputed once at `Fit` into a
+/// `SimilarityIndex`, and serving is a sorted adjacency walk. The
+/// per-request recomputation of the same neighborhoods is the parity
+/// reference for the index and lives in the tests
+/// (tests/recsys/lazy_knn_reference.h).
 ///
-/// An indexed recommender hard-fails (`SPA_CHECK`) when the fitted
-/// matrix was mutated after `Fit` and not brought back in sync:
-/// serving a stale neighbor graph is a silent-corruption bug. Unlike
-/// the original contract (refit or die), `Refresh()` now repairs the
+/// A recommender hard-fails (`SPA_CHECK`) when the fitted matrix was
+/// mutated after `Fit` and not brought back in sync: serving a stale
+/// neighbor graph is a silent-corruption bug. `Refresh()` repairs the
 /// index incrementally — only the rows a mutation could have changed
 /// are rebuilt — and serving resumes with rankings bitwise-identical
 /// to a full refit.
@@ -34,11 +33,6 @@ namespace spa::recsys {
 struct KnnConfig {
   size_t neighbors = 20;     ///< k in k-nearest-neighbors
   double min_similarity = 1e-6;
-  /// Precompute the truncated neighbor index at Fit (false = lazy
-  /// per-request similarity recomputation, the parity reference).
-  bool use_index = true;
-  /// Worker threads for the index build (0 = auto).
-  size_t index_build_threads = 0;
   /// Incremental Refresh() falls back to a full index rebuild when
   /// the affected rows exceed this fraction of all rows.
   double refresh_full_rebuild_fraction = 0.25;
@@ -54,20 +48,12 @@ class UserKnnRecommender : public Recommender {
   /// Rebuilds only the user rows affected by post-Fit matrix
   /// mutations; affected users = the rebuilt rows (a user's scores
   /// read its own neighbor row plus live neighbor vectors, and any
-  /// row referencing a mutated vector is in the rebuilt set). Lazy
-  /// (index-free) instances serve live similarities, so every user is
-  /// reported affected.
+  /// row referencing a mutated vector is in the rebuilt set).
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "UserKNN"; }
   const SimilarityIndexStats* index_stats() const override;
-
-  /// Cosine similarity between two users (exposed for tests; always
-  /// computed live against the current matrix).
-  double Similarity(UserId a, UserId b) const;
 
   const SimilarityIndex<UserId>* index() const { return index_.get(); }
 
@@ -88,14 +74,10 @@ class ItemKnnRecommender : public Recommender {
   /// mutations; affected users = everyone holding a rebuilt item
   /// (their scores sum over their own items' neighbor rows).
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "ItemKNN"; }
   const SimilarityIndexStats* index_stats() const override;
-
-  double Similarity(ItemId a, ItemId b) const;
 
   const SimilarityIndex<ItemId>* index() const { return index_.get(); }
 

@@ -22,8 +22,8 @@ class PopularityRecommender : public Recommender {
   /// non-personalized — a changed total can move any user's blend —
   /// so every user is reported affected.
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
+  void RecommendCandidatesInto(const CandidateQuery& query,
+                               std::vector<Scored>* out) const override;
   std::string name() const override { return "Popularity"; }
 
  private:

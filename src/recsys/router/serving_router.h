@@ -53,8 +53,8 @@
 ///    writer lane of the first touched user's owner.
 ///
 /// Worker pipelines are forced to `BackpressurePolicy::kBlock`:
-/// kReject/kShedOldest admission could accept a fanned batch on one
-/// replica and drop it on another, silently diverging the replicas.
+/// shedding admission could accept a fanned batch on one replica and
+/// drop it on another, silently diverging the replicas.
 ///
 /// ## Membership and deterministic handoff
 ///

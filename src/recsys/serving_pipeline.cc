@@ -232,10 +232,6 @@ spa::Result<StreamTicketPtr> ServingPipeline::Admit(Op op,
               "pipeline is shut down");
         }
         break;
-      case BackpressurePolicy::kReject:
-        ++(writer ? rejected_writes_ : rejected_reads_);
-        return spa::Status::ResourceExhausted(
-            writer ? "writer lane full" : "admission queue full");
       case BackpressurePolicy::kShedOldest: {
         Op victim = std::move(queue.front());
         queue.pop_front();
@@ -597,11 +593,8 @@ PipelineStats ServingPipeline::stats() const {
   PipelineStats out;
   out.submitted = submitted_;
   out.admitted = admitted_;
-  out.rejected_reads = rejected_reads_;
-  out.rejected_writes = rejected_writes_;
   out.shed_reads = shed_reads_;
   out.shed_writes = shed_writes_;
-  out.rejected = rejected_reads_ + rejected_writes_;
   out.shed = shed_reads_ + shed_writes_;
   out.responses = responses_;
   out.batches = batches_;

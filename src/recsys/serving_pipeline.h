@@ -21,7 +21,7 @@
 /// requests and get back a `StreamTicket` they can `Poll`, `Wait` on,
 /// or attach a completion callback to, instead of blocking on a closed
 /// `RecommendBatch`. A bounded admission queue with a configurable
-/// backpressure policy (block / reject-with-status / shed-oldest)
+/// backpressure policy (block / shed-oldest / deadline-aware degrade)
 /// feeds worker threads hosted on a `common/thread_pool`; each worker
 /// drains a run of queued requests as one micro-batch served through
 /// `RecsysEngine::RecommendBatch` in the worker's own thread, so every
@@ -64,8 +64,7 @@
 /// in the synchronous path — which also *re-warms* hot invalidated
 /// users into the cache before the writer releases the engine's
 /// exclusive lock, so a hot user's first post-apply read is a hit
-/// (see `RecsysEngine` docs). Shed or rejected requests never touch
-/// the cache.
+/// (see `RecsysEngine` docs). Shed requests never touch the cache.
 ///
 /// ## Deadline-aware degradation (`kDegrade`)
 ///
@@ -92,7 +91,7 @@
 /// randomized overload harness replays them against; fallback serves
 /// count as `responses` and record both latency histograms, drops
 /// record neither. The writer lane treats `kDegrade` as
-/// `kShedOldest`, and the other three policies ignore deadlines
+/// `kShedOldest`, and the other two policies ignore deadlines
 /// entirely.
 ///
 /// Lifetime: the engine and SUM service must outlive the pipeline;
@@ -106,9 +105,6 @@ enum class BackpressurePolicy {
   /// Block the submitting thread until the queue has room (closed-loop
   /// producers; no request is ever lost).
   kBlock,
-  /// Fail the submission with ResourceExhausted (the caller sees the
-  /// overload immediately and can retry or degrade).
-  kReject,
   /// Admit the new op and complete the *oldest* queued op of the same
   /// lane as shed (load-shedding: freshest traffic wins; the shed
   /// ticket terminates with state kShed, and its completion callback
@@ -223,14 +219,11 @@ using StreamTicketPtr = std::shared_ptr<StreamTicket>;
 struct PipelineStats {
   uint64_t submitted = 0;   ///< Submit* calls (admitted or not)
   uint64_t admitted = 0;    ///< ops that entered a queue
-  uint64_t rejected = 0;    ///< kReject refusals (both lanes)
   uint64_t shed = 0;        ///< kShedOldest drops (both lanes)
-  /// Per-lane breakouts of the admission-control counters (the totals
-  /// above stay, as the sum): overload diagnosis needs to see *which*
-  /// lane the policy is refusing — a shed read is degraded service, a
-  /// shed write is lost state.
-  uint64_t rejected_reads = 0;
-  uint64_t rejected_writes = 0;
+  /// Per-lane breakouts of `shed` (the total above stays, as the sum):
+  /// overload diagnosis needs to see *which* lane the policy is
+  /// shedding — a shed read is degraded service, a shed write is lost
+  /// state.
   uint64_t shed_reads = 0;
   uint64_t shed_writes = 0;
   uint64_t responses = 0;   ///< completed read tickets
@@ -276,9 +269,8 @@ class ServingPipeline {
   ServingPipeline(const ServingPipeline&) = delete;
   ServingPipeline& operator=(const ServingPipeline&) = delete;
 
-  /// Admits one recommendation request. Errors: ResourceExhausted
-  /// (kReject and the read lane is full), FailedPrecondition (pipeline
-  /// shut down). Under kDegrade the request carries
+  /// Admits one recommendation request. Errors: FailedPrecondition
+  /// (pipeline shut down). Under kDegrade the request carries
   /// `config.default_deadline_seconds`; a returned ticket may already
   /// be terminal (degraded-served or dropped at admission).
   spa::Result<StreamTicketPtr> Submit(
@@ -367,8 +359,6 @@ class ServingPipeline {
   // Counters under mu_; histograms are internally atomic.
   uint64_t submitted_ = 0;
   uint64_t admitted_ = 0;
-  uint64_t rejected_reads_ = 0;
-  uint64_t rejected_writes_ = 0;
   uint64_t shed_reads_ = 0;
   uint64_t shed_writes_ = 0;
   uint64_t responses_ = 0;

@@ -18,8 +18,8 @@
 /// Fit-time truncated cosine neighbor index for the memory-based CF
 /// recommenders, with incremental maintenance for live-update serving.
 ///
-/// The lazy KNN serving path recomputes all-pairs sparse cosines on
-/// every request — the dominant serving cost on cache-miss traffic. At
+/// Recomputing all-pairs sparse cosines on every request would be the
+/// dominant serving cost on cache-miss traffic. At
 /// scale, neighborhood CF is served from a precomputed neighbor graph:
 /// `Build{User,Item}SimilarityIndex` computes each row's top-N
 /// neighbors once (in parallel over `common/thread_pool`), and serving
@@ -28,7 +28,8 @@
 /// Rows are sorted by (similarity desc, id asc), already filtered to
 /// `min_similarity` and truncated to `top_n`, so a serving config equal
 /// to the build config reads rows verbatim — ranking parity with the
-/// lazy path is exact (bitwise), not approximate.
+/// lazy per-request reference (tests/recsys/lazy_knn_reference.h) is
+/// exact (bitwise), not approximate.
 ///
 /// ## Incremental maintenance
 ///
@@ -139,8 +140,8 @@ class SparseCosineJoiner {
   uint32_t epoch_ = 0;
 };
 
-/// Sparse cosine between two (key, weight) lists. Shared by the lazy
-/// KNN path and the index build so both produce bitwise-identical
+/// Sparse cosine between two (key, weight) lists. Shared by the index
+/// build and the lazy test reference so both produce bitwise-identical
 /// similarities (both route through `SparseCosineJoiner`, left = `a`).
 template <typename K>
 double SparseCosine(const std::vector<std::pair<K, double>>& a,

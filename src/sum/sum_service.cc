@@ -1,6 +1,8 @@
 #include "sum/sum_service.h"
 
 #include <bit>
+#include <cmath>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +12,37 @@
 #include "common/string_util.h"
 
 namespace spa::sum {
+
+namespace {
+
+void WriteModelCsvRows(const AttributeCatalog& catalog,
+                       const SmartUserModel& model,
+                       spa::CsvWriter* writer) {
+  size_t rows = 0;
+  for (const AttributeDef& def : catalog.defs()) {
+    const double value = model.value(def.id);
+    const double sensibility = model.sensibility(def.id);
+    const double evidence = model.evidence(def.id);
+    if (value == def.default_value && sensibility == 0.0 &&
+        evidence == 0.0) {
+      continue;  // sparse: skip untouched attributes
+    }
+    // %.17g: max_digits10 for double, so values round-trip exactly.
+    writer->WriteRow({std::to_string(model.user()), def.name,
+                      spa::StrFormat("%.17g", value),
+                      spa::StrFormat("%.17g", sensibility),
+                      spa::StrFormat("%.17g", evidence)});
+    ++rows;
+  }
+  if (rows == 0) {
+    // Presence row: an untouched model must still round-trip (the
+    // user exists; creation order matters to ForEach).
+    writer->WriteRow(
+        {std::to_string(model.user()), "", "0", "0", "0"});
+  }
+}
+
+}  // namespace
 
 // ---- SumSnapshot -----------------------------------------------------------
 
@@ -73,9 +106,9 @@ void SumSnapshot::ForEach(
 std::string SumSnapshot::ToCsv() const {
   std::ostringstream out;
   spa::CsvWriter writer(&out);
-  internal::WriteSumCsvHeader(&writer);
+  writer.WriteRow({"user", "attribute", "value", "sensibility", "evidence"});
   ForEach([&](const SmartUserModel& model) {
-    internal::WriteModelCsvRows(*catalog_, model, &writer);
+    WriteModelCsvRows(*catalog_, model, &writer);
   });
   return out.str();
 }
@@ -94,29 +127,42 @@ SumService::SumService(const AttributeCatalog* catalog,
                        SumServiceConfig config)
     : catalog_(catalog),
       updater_(config.reinforcement),
-      shard_count_(ResolveShardCount(config.user_shards)) {
+      shard_count_(ResolveShardCount(config.user_shards)),
+      head_(new SumSnapshot(catalog, shard_count_)) {
   SPA_CHECK(catalog != nullptr);
-  head_.store(SumSnapshotPtr(new SumSnapshot(catalog, shard_count_)),
-              std::memory_order_release);
 }
 
 SumSnapshotPtr SumService::snapshot() const {
-  return head_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(head_mu_);
+  return head_;
 }
 
 void SumService::Publish(std::shared_ptr<SumSnapshot> next) {
   const uint64_t version = next->version_;
   const size_t size = next->size();
-  head_.store(std::move(next), std::memory_order_release);
-  // Mirrors are updated after the head so a reader that observes the
-  // new counters can also pin the new snapshot. Writers serialize
-  // under write_mutex_, so both stay monotonic.
+  SumSnapshotPtr previous = std::move(next);
+  {
+    std::lock_guard<std::mutex> lock(head_mu_);
+    head_.swap(previous);
+  }
+  // `previous` now holds the old head and is released on return,
+  // outside head_mu_. Mirrors are updated after the head so a reader
+  // that observes the new counters can also pin the new snapshot.
+  // Writers serialize under write_mutex_, so both stay monotonic.
   version_.store(version, std::memory_order_release);
   size_.store(size, std::memory_order_release);
 }
 
 spa::Status SumService::Validate(const SumUpdate& update) const {
   for (const SumOp& op : update.ops()) {
+    // std::clamp passes NaN through, so a non-finite amount would
+    // land in the model as-is.
+    if (!std::isfinite(op.amount)) {
+      return spa::Status::InvalidArgument(spa::StrFormat(
+          "update for user %lld carries a non-finite amount for "
+          "attribute %d",
+          static_cast<long long>(update.user()), op.attribute));
+    }
     if (op.kind == SumOp::Kind::kDecay) continue;
     if (op.attribute < 0 ||
         static_cast<size_t>(op.attribute) >= catalog_->size()) {
@@ -178,12 +224,20 @@ spa::Status SumService::ApplyAll(const std::vector<SumUpdate>& updates,
   }
 
   std::lock_guard<std::mutex> writer(write_mutex_);
+  const uint64_t version = PublishUpdates(
+      std::shared_ptr<SumSnapshot>(new SumSnapshot(*snapshot())), updates);
+  if (published_version != nullptr) *published_version = version;
+  return spa::Status::OK();
+}
+
+uint64_t SumService::PublishUpdates(std::shared_ptr<SumSnapshot> next,
+                                    const std::vector<SumUpdate>& updates) {
   // Copy-on-write publish at shard granularity: the new snapshot
   // shares every shard pointer (and the creation-order vector) with
-  // the head; only shards the batch touches are cloned below, and only
+  // its base; only shards the batch touches are cloned below, and only
   // touched users' models inside them.
-  auto next = std::shared_ptr<SumSnapshot>(new SumSnapshot(*snapshot()));
-  const uint64_t version = next->version_ + 1;
+  // Writers serialize under write_mutex_, so the mirror is the head's.
+  const uint64_t version = version_.load(std::memory_order_relaxed) + 1;
 
   // Mutable clones of the shards this batch touches, made at most once
   // per shard per publish.
@@ -226,8 +280,7 @@ spa::Status SumService::ApplyAll(const std::vector<SumUpdate>& updates,
   if (new_order != nullptr) next->order_ = std::move(new_order);
   next->version_ = version;
   Publish(std::move(next));
-  if (published_version != nullptr) *published_version = version;
-  return spa::Status::OK();
+  return version;
 }
 
 spa::Status SumService::DecayAll(AttributeKind kind) {
@@ -241,26 +294,64 @@ spa::Status SumService::DecayAll(AttributeKind kind) {
   return ApplyAll(updates);
 }
 
-void SumService::Reset(const SumStore& store) {
-  std::lock_guard<std::mutex> writer(write_mutex_);
-  auto next = std::shared_ptr<SumSnapshot>(
-      new SumSnapshot(catalog_, shard_count_));
-  const uint64_t version = snapshot()->version() + 1;
-  std::vector<std::shared_ptr<SumSnapshot::Shard>> fresh(shard_count_);
-  auto order = std::make_shared<std::vector<UserId>>();
-  store.ForEach([&](const SmartUserModel& model) {
-    const size_t index = next->ShardIndexOf(model.user());
-    if (fresh[index] == nullptr) {
-      fresh[index] = std::make_shared<SumSnapshot::Shard>();
-      next->shards_[index] = fresh[index];
+spa::Status SumService::LoadCsv(std::string_view csv) {
+  SPA_ASSIGN_OR_RETURN(const auto rows, spa::ParseCsv(csv));
+  if (rows.empty()) {
+    return spa::Status::InvalidArgument("empty SUM CSV");
+  }
+  // One update per user, in first-appearance (creation) order.
+  std::vector<SumUpdate> updates;
+  std::unordered_map<UserId, size_t> update_of;
+  std::set<std::pair<UserId, AttributeId>> loaded;
+  for (size_t i = 1; i < rows.size(); ++i) {  // skip header
+    const auto& row = rows[i];
+    if (row.size() != 5) {
+      return spa::Status::InvalidArgument(
+          spa::StrFormat("row %zu has %zu fields, expected 5", i,
+                         row.size()));
     }
-    fresh[index]->models[model.user()] = {
-        std::make_shared<SmartUserModel>(model), version};
-    order->push_back(model.user());
-  });
-  next->order_ = std::move(order);
-  next->version_ = version;
-  Publish(std::move(next));
+    int64_t user;
+    double value, sensibility, evidence;
+    if (!spa::ParseInt64(row[0], &user) ||
+        !spa::ParseDouble(row[2], &value) ||
+        !spa::ParseDouble(row[3], &sensibility) ||
+        !spa::ParseDouble(row[4], &evidence)) {
+      return spa::Status::InvalidArgument(
+          spa::StrFormat("row %zu has non-numeric fields", i));
+    }
+    if (!std::isfinite(value) || !std::isfinite(sensibility) ||
+        !std::isfinite(evidence)) {
+      return spa::Status::InvalidArgument(
+          spa::StrFormat("row %zu has a non-finite field", i));
+    }
+    const auto [slot, created] = update_of.emplace(user, updates.size());
+    if (created) updates.emplace_back(user);
+    if (row[1].empty()) continue;  // presence row: user only
+    const auto attr = catalog_->IdOf(row[1]);
+    if (!attr.ok()) {
+      return spa::Status::InvalidArgument(
+          spa::StrFormat("row %zu names unknown attribute '%s'", i,
+                         row[1].c_str()));
+    }
+    if (!loaded.emplace(user, attr.value()).second) {
+      return spa::Status::InvalidArgument(spa::StrFormat(
+          "row %zu repeats attribute '%s' of user %lld", i,
+          row[1].c_str(), static_cast<long long>(user)));
+    }
+    updates[slot->second]
+        .SetValue(attr.value(), value)
+        .SetSensibility(attr.value(), sensibility)
+        .AddEvidence(attr.value(), evidence);
+  }
+  for (const SumUpdate& update : updates) {
+    SPA_RETURN_IF_ERROR(Validate(update));
+  }
+
+  std::lock_guard<std::mutex> writer(write_mutex_);
+  PublishUpdates(std::shared_ptr<SumSnapshot>(
+                     new SumSnapshot(catalog_, shard_count_)),
+                 updates);
+  return spa::Status::OK();
 }
 
 }  // namespace spa::sum

@@ -6,12 +6,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "sum/reward_punish.h"
-#include "sum/sum_store.h"
 #include "sum/sum_update.h"
 #include "sum/user_model.h"
 
@@ -39,6 +40,13 @@
 ///  * readers holding a snapshot observe a frozen, consistent view no
 ///    matter how many updates land concurrently — update-while-serve
 ///    is safe by construction.
+///
+/// The service is also the SUM's only serialization container:
+/// `ToCsv` writes the five-column schema `user,attribute,value,
+/// sensibility,evidence` (one row per non-default attribute at `%.17g`,
+/// so values round-trip bitwise; a model with only default state
+/// writes one presence row with an empty attribute), and `LoadCsv`
+/// reads it back as one replacing publish.
 
 namespace spa::sum {
 
@@ -78,7 +86,8 @@ class SumSnapshot {
   /// Number of copy-on-write user shards (a power of two).
   size_t shard_count() const { return shards_.size(); }
 
-  /// Serializes the snapshot in the SumStore CSV schema.
+  /// Serializes the snapshot in the SUM CSV schema (file doc), users
+  /// in creation order.
   std::string ToCsv() const;
 
  private:
@@ -148,8 +157,8 @@ class SumService {
 
   /// Applies one update atomically and publishes a new snapshot.
   /// Creates the user's model when absent (even with no ops). Errors:
-  /// InvalidArgument (op references an attribute outside the catalog);
-  /// on error nothing is published.
+  /// InvalidArgument (op references an attribute outside the catalog,
+  /// or carries a non-finite amount); on error nothing is published.
   spa::Status Apply(const SumUpdate& update);
 
   /// Applies a batch atomically under a single version bump (one
@@ -168,27 +177,44 @@ class SumService {
   /// forgetting), as a single batched publish.
   spa::Status DecayAll(AttributeKind kind);
 
-  /// Replaces the whole state from a deserialized store (one publish;
-  /// every user stamped with the new version).
-  void Reset(const SumStore& store);
+  /// Replaces the whole state with a `ToCsv()` document: each row
+  /// becomes SetValue / SetSensibility / AddEvidence ops on a fresh
+  /// model (a presence row only creates the user), validated like
+  /// `ApplyAll`, and published as one snapshot that stamps every user
+  /// with the new version. A header-only document publishes an empty
+  /// state. All-or-nothing: InvalidArgument on an empty document, a
+  /// row without five fields, a non-numeric or non-finite number, an
+  /// attribute outside the catalog (the error names the row and the
+  /// attribute) or a repeated (user, attribute) row; on error nothing
+  /// is published and `version()` is unchanged.
+  spa::Status LoadCsv(std::string_view csv);
 
-  /// Serializes the current snapshot as CSV (SumStore schema).
+  /// Serializes the current snapshot as CSV (`SumSnapshot::ToCsv`).
   std::string ToCsv() const { return snapshot()->ToCsv(); }
 
   const ReinforcementUpdater& reinforcement() const { return updater_; }
 
  private:
   spa::Status Validate(const SumUpdate& update) const;
+  /// Applies `updates` on top of `next` (the head's copy, or an empty
+  /// snapshot for a replacing load) and publishes it at the head
+  /// version + 1. Caller holds write_mutex_; `updates` are validated.
+  uint64_t PublishUpdates(std::shared_ptr<SumSnapshot> next,
+                          const std::vector<SumUpdate>& updates);
   void Publish(std::shared_ptr<SumSnapshot> next);
 
   const AttributeCatalog* catalog_;
   ReinforcementUpdater updater_;
   size_t shard_count_;
 
-  /// Serializes writers (Apply/ApplyAll/Reset).
+  /// Serializes writers (ApplyAll/LoadCsv).
   std::mutex write_mutex_;
-  /// Lock-free head: pinning a snapshot is one atomic shared_ptr load.
-  std::atomic<SumSnapshotPtr> head_;
+  /// The published head. Pinning it copies one shared_ptr under
+  /// head_mu_ (a std::atomic<std::shared_ptr> is no cheaper: libstdc++
+  /// guards it with a spin lock that ThreadSanitizer cannot see, so
+  /// every concurrent pin was reported as a data race).
+  mutable std::mutex head_mu_;
+  SumSnapshotPtr head_;
   /// Mirrors of the head's version/size so hot-path reads (cache keys,
   /// router pins, empty-batch ApplyAll) skip the snapshot pin.
   std::atomic<uint64_t> version_{0};

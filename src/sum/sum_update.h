@@ -40,8 +40,7 @@ struct SumOp {
 /// \brief A batch of ops against one user's model.
 ///
 /// Applying an update with no ops still creates the user's model when
-/// absent ("touch") and bumps the user's version — the service-level
-/// equivalent of the old `SumStore::GetOrCreate`.
+/// absent ("touch") and bumps the user's version.
 class SumUpdate {
  public:
   SumUpdate() = default;

@@ -457,8 +457,6 @@ ScenarioOutcome ScenarioRunner::Run(const ScenarioConfig& scenario) const {
       stats.submitted += ws.pipeline.submitted;
       stats.responses += ws.pipeline.responses;
       stats.updates_applied += ws.pipeline.updates_applied;
-      stats.rejected_reads += ws.pipeline.rejected_reads;
-      stats.rejected_writes += ws.pipeline.rejected_writes;
       stats.shed_reads += ws.pipeline.shed_reads;
       stats.shed_writes += ws.pipeline.shed_writes;
       stats.fallback_served += ws.pipeline.fallback_served;
@@ -476,8 +474,6 @@ ScenarioOutcome ScenarioRunner::Run(const ScenarioConfig& scenario) const {
   out.submitted = stats.submitted;
   out.responses = stats.responses;
   out.updates_applied = stats.updates_applied;
-  out.rejected_reads = stats.rejected_reads;
-  out.rejected_writes = stats.rejected_writes;
   out.shed_reads = stats.shed_reads;
   out.shed_writes = stats.shed_writes;
   out.fallback_served = stats.fallback_served;
@@ -620,13 +616,11 @@ ScenarioOutcome ScenarioRunner::Run(const ScenarioConfig& scenario) const {
   }
 
   // ---- SLO verdict --------------------------------------------------------
-  const uint64_t read_outcomes =
-      out.responses + out.rejected_reads + out.shed_reads;
+  const uint64_t read_outcomes = out.responses + out.shed_reads;
   const double shed_fraction =
-      read_outcomes > 0
-          ? static_cast<double>(out.rejected_reads + out.shed_reads) /
-                static_cast<double>(read_outcomes)
-          : 0.0;
+      read_outcomes > 0 ? static_cast<double>(out.shed_reads) /
+                              static_cast<double>(read_outcomes)
+                        : 0.0;
   out.slo_pass = out.parity && out.p99_ms <= config_.slo.p99_ms &&
                  shed_fraction <= config_.slo.max_shed_fraction;
   return out;

@@ -43,8 +43,8 @@
 ///
 /// A scenario *passes* its SLO when all of the following hold on the
 /// quiesced stats: end-to-end p99 is within `SloConfig::p99_ms`; the
-/// fraction of read submissions refused (rejected) or dropped (shed)
-/// is within `SloConfig::max_shed_fraction`; and every sampled parity
+/// fraction of read submissions dropped (shed) is within
+/// `SloConfig::max_shed_fraction`; and every sampled parity
 /// check matched. The latency/shed verdict is *reported* (host-perf
 /// dependent); the parity verdict is the correctness gate.
 
@@ -62,7 +62,7 @@ const char* BackendName(BackendKind kind);
 struct SloConfig {
   /// End-to-end p99 bound, milliseconds (admission -> completion).
   double p99_ms = 250.0;
-  /// Max fraction of read submissions rejected or shed.
+  /// Max fraction of read submissions shed.
   double max_shed_fraction = 0.05;
   /// Serve tickets sampled for the differential parity check (every
   /// Nth serve event so the sample spans the whole timeline).
@@ -139,8 +139,6 @@ struct ScenarioOutcome {
   uint64_t submitted = 0;
   uint64_t responses = 0;
   uint64_t updates_applied = 0;
-  uint64_t rejected_reads = 0;
-  uint64_t rejected_writes = 0;
   uint64_t shed_reads = 0;
   uint64_t shed_writes = 0;
   /// kDegrade shed-quality split: degraded (popularity fallback)

@@ -204,27 +204,28 @@ TEST(IntegrationTest, EitAdaptiveSelectionBalancesProbes) {
   EXPECT_GE(touched, 8u);  // near-complete coverage in 20 answers
 }
 
-TEST(IntegrationTest, SumStoreCsvRoundTripThroughPlatform) {
+TEST(IntegrationTest, SumCsvRoundTripThroughPlatform) {
   World world = MakeWorld(23, 100);
   // Mutate some models through the platform paths first.
   world.runner->RunCampaign(MakeSpec(1, 80), world.candidates);
   const std::string csv = world.platform->sum_service()->ToCsv();
   EXPECT_FALSE(csv.empty());
-  const auto restored = sum::SumStore::FromCsv(
-      csv, &world.platform->attribute_catalog());
-  ASSERT_TRUE(restored.ok()) << restored.status();
+  sum::SumService restored(&world.platform->attribute_catalog());
+  ASSERT_TRUE(restored.LoadCsv(csv).ok());
+  EXPECT_EQ(restored.ToCsv(), csv);  // bitwise round trip
   // Every persisted model matches the live one attribute-by-attribute.
   size_t checked = 0;
   const auto live_snapshot = world.platform->sum_snapshot();
-  restored->ForEach([&](const sum::SmartUserModel& loaded) {
+  EXPECT_EQ(restored.size(), live_snapshot->size());
+  restored.snapshot()->ForEach([&](const sum::SmartUserModel& loaded) {
     const auto live = live_snapshot->Get(loaded.user());
     ASSERT_TRUE(live.ok());
     for (const auto& def :
          world.platform->attribute_catalog().defs()) {
-      ASSERT_NEAR(loaded.value(def.id), live.value()->value(def.id),
-                  1e-9);
-      ASSERT_NEAR(loaded.sensibility(def.id),
-                  live.value()->sensibility(def.id), 1e-9);
+      ASSERT_EQ(loaded.value(def.id), live.value()->value(def.id));
+      ASSERT_EQ(loaded.sensibility(def.id),
+                live.value()->sensibility(def.id));
+      ASSERT_EQ(loaded.evidence(def.id), live.value()->evidence(def.id));
     }
     ++checked;
   });

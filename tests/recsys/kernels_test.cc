@@ -99,6 +99,12 @@ TEST(KernelParityTest, ScaleGatherMatchesBitwiseForStrides) {
                                               : out_scalar.data());
       });
       if (!both) GTEST_SKIP() << "CPU lacks AVX2; scalar-only host";
+      if (n == 0) {
+        // memcmp must not see the null data() of an empty vector.
+        EXPECT_TRUE(out_scalar.empty());
+        EXPECT_TRUE(out_avx2.empty());
+        continue;
+      }
       ASSERT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
                             n * sizeof(double)),
                 0)
@@ -126,6 +132,11 @@ TEST(KernelParityTest, NormalizedContributionMatchesBitwise) {
                                    : out_scalar.data());
       });
       if (!both) GTEST_SKIP() << "CPU lacks AVX2; scalar-only host";
+      if (n == 0) {
+        EXPECT_TRUE(out_scalar.empty());
+        EXPECT_TRUE(out_avx2.empty());
+        continue;
+      }
       ASSERT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
                             n * sizeof(double)),
                 0)

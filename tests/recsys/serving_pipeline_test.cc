@@ -291,13 +291,9 @@ void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
         return pipeline.SubmitWithDeadline(op.request, deadline_seconds);
       };
       spa::Result<StreamTicketPtr> admitted = submit();
-      if (!admitted.ok()) {
-        // Only the reject policy may refuse an admission.
-        EXPECT_EQ(config.policy, BackpressurePolicy::kReject);
-        EXPECT_EQ(admitted.status().code(),
-                  spa::StatusCode::kResourceExhausted);
-        continue;
-      }
+      // No policy refuses an admission: overload blocks, sheds or
+      // degrades through the returned ticket.
+      ASSERT_TRUE(admitted.ok()) << admitted.status();
       tickets.emplace_back(i, admitted.value());
     }
     pipeline.Flush();
@@ -487,7 +483,7 @@ class ServingPipelineDifferentialTest
 
 TEST_P(ServingPipelineDifferentialTest,
        StreamedResponsesMatchSynchronousBatchAtPinnedVersions) {
-  // 35 schedules per policy x 4 policies = 140 seeded schedules, with
+  // 35 schedules per policy x 3 policies = 105 seeded schedules, with
   // the shard count varied across them.
   for (uint64_t seed = 0; seed < 35; ++seed) {
     const size_t shards = 1 + seed % 4;
@@ -499,13 +495,11 @@ TEST_P(ServingPipelineDifferentialTest,
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ServingPipelineDifferentialTest,
     ::testing::Values(BackpressurePolicy::kBlock,
-                      BackpressurePolicy::kReject,
                       BackpressurePolicy::kShedOldest,
                       BackpressurePolicy::kDegrade),
     [](const ::testing::TestParamInfo<BackpressurePolicy>& info) {
       switch (info.param) {
         case BackpressurePolicy::kBlock: return "Block";
-        case BackpressurePolicy::kReject: return "Reject";
         case BackpressurePolicy::kShedOldest: return "ShedOldest";
         case BackpressurePolicy::kDegrade: return "Degrade";
       }
@@ -547,10 +541,10 @@ class GatedRecommender : public Recommender {
     outcome->all_users = true;
     return spa::Status::OK();
   }
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override {
+  void RecommendCandidatesInto(const CandidateQuery& query,
+                               std::vector<Scored>* out) const override {
     gate_->WaitUntilOpen();
-    return {{static_cast<ItemId>(query.user % 3), 1.0}};
+    *out = {{static_cast<ItemId>(query.user % 3), 1.0}};
   }
   std::string name() const override { return "gated"; }
 
@@ -650,37 +644,7 @@ TEST(ServingPipelineTest, BlockPolicyBlocksProducerUntilRoomFrees) {
     EXPECT_TRUE(ticket->response().ok());
   }
   EXPECT_EQ(blocked_ticket->Wait(), TicketState::kDone);
-  EXPECT_EQ(pipeline.stats().rejected, 0u);
   EXPECT_EQ(pipeline.stats().shed, 0u);
-}
-
-TEST(ServingPipelineTest, RejectPolicyFailsSubmitWithStatus) {
-  GatedStack stack;
-  ServingPipeline pipeline(
-      stack.engine.get(), nullptr,
-      TinyPipelineConfig(BackpressurePolicy::kReject));
-  auto tickets = FillQueue(&pipeline, &stack);
-
-  auto rejected = pipeline.Submit(stack.Request(3));
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(),
-            spa::StatusCode::kResourceExhausted);
-  // A read rejection lands in the read lane only; the totals are the
-  // lane sums.
-  EXPECT_EQ(pipeline.stats().rejected, 1u);
-  EXPECT_EQ(pipeline.stats().rejected_reads, 1u);
-  EXPECT_EQ(pipeline.stats().rejected_writes, 0u);
-
-  stack.gate.Open();
-  pipeline.Flush();
-  for (const auto& ticket : tickets) {
-    EXPECT_EQ(ticket->Wait(), TicketState::kDone);
-    EXPECT_TRUE(ticket->response().ok());
-  }
-  // Admission recovered once the queue drained.
-  auto late = pipeline.Submit(stack.Request(4));
-  ASSERT_TRUE(late.ok());
-  EXPECT_EQ(late.value()->Wait(), TicketState::kDone);
 }
 
 TEST(ServingPipelineTest, ShedOldestDropsTheOldestQueuedTicket) {
@@ -857,44 +821,6 @@ TEST(ServingPipelineTest, DegradeWriterLaneShedsOldestWriteDeadlineFree) {
   EXPECT_EQ(stats.fallback_served, 0u);
   EXPECT_EQ(stats.expired_drops, 0u);
   EXPECT_EQ(stats.updates_applied, 2u);
-}
-
-TEST(ServingPipelineTest, WriterLaneRejectionsCountInTheWriteLane) {
-  GatedStack stack;
-  ServingPipeline pipeline(
-      stack.engine.get(), nullptr,
-      TinyPipelineConfig(BackpressurePolicy::kReject));
-  // Park the single worker on a gated read, then fill the writer
-  // queue (capacity 2) behind it.
-  auto r0 = pipeline.Submit(stack.Request(0));
-  ASSERT_TRUE(r0.ok());
-  while (pipeline.queue_depth() != 0) std::this_thread::yield();
-  std::vector<StreamTicketPtr> writes;
-  for (int i = 0; i < 2; ++i) {
-    auto w = pipeline.SubmitInteractions(
-        {{static_cast<UserId>(i), static_cast<ItemId>(1), 1.0}});
-    ASSERT_TRUE(w.ok());
-    writes.push_back(w.value());
-  }
-  EXPECT_EQ(pipeline.writer_queue_depth(), 2u);
-
-  auto overflow = pipeline.SubmitInteractions(
-      {{static_cast<UserId>(3), static_cast<ItemId>(1), 1.0}});
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(),
-            spa::StatusCode::kResourceExhausted);
-  EXPECT_EQ(pipeline.stats().rejected_writes, 1u);
-  EXPECT_EQ(pipeline.stats().rejected_reads, 0u);
-  EXPECT_EQ(pipeline.stats().rejected, 1u);
-
-  stack.gate.Open();
-  pipeline.Flush();
-  for (const auto& w : writes) {
-    EXPECT_EQ(w->Wait(), TicketState::kDone);
-    EXPECT_TRUE(w->update_report().ok());
-  }
-  // The high-water mark saw the full writer queue.
-  EXPECT_EQ(pipeline.stats().max_writer_queue_depth, 2u);
 }
 
 TEST(ServingPipelineTest, WriterLaneDrainsBeforeQueuedReads) {
@@ -1231,7 +1157,6 @@ TEST(ServingPipelineTest, TsanStressServeWhileStreamingUpdates) {
   EXPECT_EQ(stats.admitted, stats.submitted);  // block policy
   EXPECT_EQ(stats.responses + stats.updates_applied, stats.admitted);
   EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.rejected, 0u);
 }
 
 }  // namespace

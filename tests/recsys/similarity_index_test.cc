@@ -1,10 +1,13 @@
 #include <memory>
+#include <type_traits>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "recsys/engine.h"
 #include "recsys/knn_cf.h"
+#include "recsys/lazy_knn_reference.h"
 #include "recsys/popularity.h"
 #include "recsys/recsys_test_util.h"
 #include "recsys/similarity_index.h"
@@ -43,7 +46,7 @@ void ExpectSameScored(const std::vector<Scored>& lazy,
 
 TEST(SimilarityIndexTest, UserIndexMatchesLiveSimilarities) {
   const InteractionMatrix m = MakeTwoCommunityMatrix();
-  UserKnnRecommender reference(KnnConfig{.use_index = false});
+  LazyKnnReference reference(KnnKind::kUser);
   ASSERT_TRUE(reference.Fit(m).ok());
   const auto index = BuildUserSimilarityIndex(m);
 
@@ -54,7 +57,7 @@ TEST(SimilarityIndexTest, UserIndexMatchesLiveSimilarities) {
     EXPECT_GE(neighbor.id, 1);
     EXPECT_LE(neighbor.id, 4);
     EXPECT_EQ(neighbor.similarity,
-              reference.Similarity(0, neighbor.id));
+              reference.UserSimilarity(0, neighbor.id));
     EXPECT_LE(neighbor.similarity, prev);  // sorted desc
     prev = neighbor.similarity;
   }
@@ -126,9 +129,9 @@ TEST(SimilarityIndexTest, CancelledNormsYieldZeroSimilarityNotNaN) {
   m.Add(2, 10, 1.0);
   m.Add(2, 11, 1.0);
   EXPECT_LE(m.UserNormSquared(1), 1e-12);  // cancelled (maybe negative)
-  UserKnnRecommender rec(KnnConfig{.use_index = false});
-  ASSERT_TRUE(rec.Fit(m).ok());
-  EXPECT_EQ(rec.Similarity(1, 2), 0.0);
+  LazyKnnReference reference(KnnKind::kUser);
+  ASSERT_TRUE(reference.Fit(m).ok());
+  EXPECT_EQ(reference.UserSimilarity(1, 2), 0.0);
   const auto index = BuildUserSimilarityIndex(m);
   for (const auto& neighbor : index.NeighborsOf(2)) {
     EXPECT_FALSE(std::isnan(neighbor.similarity));
@@ -148,15 +151,20 @@ TEST(SimilarityIndexTest, StatsReportBuildCostAndVersionStamp) {
   EXPECT_EQ(index.built_version(), m.version());
 }
 
-/// Parity harness: every user served by the lazy and the indexed
-/// recommender under the same config must rank identically.
+/// The lazy reference of the same kind as an indexed recommender.
+template <typename Rec>
+constexpr KnnKind KindOf() {
+  return std::is_same_v<Rec, UserKnnRecommender> ? KnnKind::kUser
+                                                 : KnnKind::kItem;
+}
+
+/// Parity harness: every user served by the lazy reference and the
+/// indexed recommender under the same config must rank identically.
 template <typename Rec>
 void ExpectIndexedLazyParity(const InteractionMatrix& m,
-                             KnnConfig config, size_t k) {
-  config.use_index = false;
-  Rec lazy(config);
+                             const KnnConfig& config, size_t k) {
+  LazyKnnReference lazy(KindOf<Rec>(), config);
   ASSERT_TRUE(lazy.Fit(m).ok());
-  config.use_index = true;
   Rec indexed(config);
   ASSERT_TRUE(indexed.Fit(m).ok());
   for (UserId u : m.users()) {
@@ -196,11 +204,11 @@ TEST(KnnIndexParityTest, ParityHoldsUnderQueryPolicies) {
   const InteractionMatrix m = MakeNoisyMatrix(29);
   KnnConfig config;
   config.neighbors = 5;
-  KnnConfig lazy_config = config;
-  lazy_config.use_index = false;
 
-  UserKnnRecommender user_lazy(lazy_config), user_indexed(config);
-  ItemKnnRecommender item_lazy(lazy_config), item_indexed(config);
+  LazyKnnReference user_lazy(KnnKind::kUser, config);
+  UserKnnRecommender user_indexed(config);
+  LazyKnnReference item_lazy(KnnKind::kItem, config);
+  ItemKnnRecommender item_indexed(config);
   const std::vector<Recommender*> recommenders = {
       &user_lazy, &user_indexed, &item_lazy, &item_indexed};
   for (Recommender* rec : recommenders) {
@@ -233,6 +241,26 @@ TEST(KnnIndexParityTest, ParityHoldsUnderQueryPolicies) {
     ExpectSameScored(item_lazy.RecommendCandidates(query),
                      item_indexed.RecommendCandidates(query));
   }
+}
+
+TEST(KnnIndexParityTest, BenchColdTrafficMatchesLazyReference) {
+  // bench_serving's smoke topology: 400 users in two communities over
+  // 400 items, 12 draws each, master seed 42, top-10 cold traffic for
+  // every user through both KNN components at their default config.
+  constexpr size_t kUsers = 400;
+  constexpr size_t kItems = 400;
+  Rng rng(42);
+  InteractionMatrix m;
+  for (size_t u = 0; u < kUsers; ++u) {
+    const auto base = static_cast<ItemId>((u % 2 == 0) ? 0 : kItems / 2);
+    for (int j = 0; j < 12; ++j) {
+      const auto item = static_cast<ItemId>(
+          base + rng.UniformInt(0, static_cast<int64_t>(kItems) / 2 - 1));
+      m.Add(static_cast<UserId>(u), item, rng.Uniform(0.2, 3.0));
+    }
+  }
+  ExpectIndexedLazyParity<ItemKnnRecommender>(m, KnnConfig{}, 10);
+  ExpectIndexedLazyParity<UserKnnRecommender>(m, KnnConfig{}, 10);
 }
 
 TEST(KnnIndexParityTest, UnknownUserStillGetsNothing) {

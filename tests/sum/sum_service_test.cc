@@ -1,10 +1,12 @@
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sum/sum_service.h"
-#include "sum/sum_store.h"
 #include "sum/sum_update.h"
 
 namespace spa::sum {
@@ -186,18 +188,20 @@ TEST_F(SumServiceTest, ForEachVisitsCreationOrder) {
 }
 
 TEST_F(SumServiceTest, ResetFromStorePublishesWholesale) {
-  SumStore store(&catalog_);
   const AttributeId attr = Emo(eit::EmotionalAttribute::kHopeful);
-  store.GetOrCreate(10)->set_sensibility(attr, 0.7);
-  store.GetOrCreate(11);
+  SumService source(&catalog_);
+  ASSERT_TRUE(source.Apply(SumUpdate(10).SetSensibility(attr, 0.7)).ok());
+  ASSERT_TRUE(source.Apply(SumUpdate(11)).ok());
 
   ASSERT_TRUE(service_.Apply(SumUpdate(99)).ok());  // pre-existing state
-  service_.Reset(store);
+  ASSERT_TRUE(service_.LoadCsv(source.ToCsv()).ok());
   EXPECT_EQ(service_.size(), 2u);
   EXPECT_FALSE(service_.snapshot()->Contains(99));
   EXPECT_DOUBLE_EQ(
       service_.snapshot()->Get(10).value()->sensibility(attr), 0.7);
   EXPECT_EQ(service_.version(), 2u);  // strictly after the old head
+  EXPECT_EQ(service_.UserVersion(10), 2u);  // every user re-stamped
+  EXPECT_EQ(service_.UserVersion(11), 2u);
 }
 
 TEST_F(SumServiceTest, CsvRoundTripThroughServiceAndStore) {
@@ -206,14 +210,190 @@ TEST_F(SumServiceTest, CsvRoundTripThroughServiceAndStore) {
       service_.Apply(SumUpdate(1).SetSensibility(attr, 1.0 / 3.0)).ok());
   ASSERT_TRUE(service_.Apply(SumUpdate(2)).ok());  // untouched model
 
-  const auto restored = SumStore::FromCsv(service_.ToCsv(), &catalog_);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->size(), 2u);
-  EXPECT_EQ(restored->Get(1).value()->sensibility(attr), 1.0 / 3.0);
-
   SumService reloaded(&catalog_);
-  reloaded.Reset(*restored);
+  ASSERT_TRUE(reloaded.LoadCsv(service_.ToCsv()).ok());
   EXPECT_EQ(reloaded.size(), 2u);
+  EXPECT_EQ(reloaded.snapshot()->Get(1).value()->sensibility(attr),
+            1.0 / 3.0);
+}
+
+// ---- CSV I/O ---------------------------------------------------------------
+
+constexpr char kCsvHeader[] = "user,attribute,value,sensibility,evidence\n";
+
+TEST_F(SumServiceTest, PresenceAndAttributeRowsShareOneModel) {
+  ASSERT_TRUE(service_
+                  .LoadCsv(std::string(kCsvHeader) +
+                           "5,,0,0,0\n"
+                           "5,age_norm,0.5,0.25,1\n")
+                  .ok());
+  EXPECT_EQ(service_.size(), 1u);
+  const SumSnapshotPtr snapshot = service_.snapshot();
+  ASSERT_TRUE(snapshot->Get(5).ok());
+  EXPECT_DOUBLE_EQ(snapshot->Get(5).value()->value(
+                       catalog_.IdOf("age_norm").value()),
+                   0.5);
+  EXPECT_FALSE(snapshot->Get(6).ok());
+}
+
+TEST_F(SumServiceTest, CsvRoundTripPreservesState) {
+  const AttributeId age = catalog_.IdOf("age_norm").value();
+  const AttributeId hopeful = Emo(eit::EmotionalAttribute::kHopeful);
+  ASSERT_TRUE(service_
+                  .Apply(SumUpdate(10)
+                             .SetValue(age, 0.4)
+                             .SetSensibility(hopeful, 0.75)
+                             .AddEvidence(hopeful, 3.0))
+                  .ok());
+  ASSERT_TRUE(service_.Apply(SumUpdate(11)).ok());  // presence row only
+
+  SumService restored(&catalog_);
+  ASSERT_TRUE(restored.LoadCsv(service_.ToCsv()).ok());
+  // The untouched user survives the round trip (regression: presence
+  // rows; it used to vanish entirely).
+  EXPECT_EQ(restored.size(), 2u);
+  const SumSnapshotPtr snapshot = restored.snapshot();
+  ASSERT_TRUE(snapshot->Get(11).ok());
+  const auto loaded = snapshot->Get(10);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_DOUBLE_EQ(loaded.value()->value(age), 0.4);
+  EXPECT_DOUBLE_EQ(loaded.value()->sensibility(hopeful), 0.75);
+  EXPECT_DOUBLE_EQ(loaded.value()->evidence(hopeful), 3.0);
+}
+
+TEST_F(SumServiceTest, HeaderOnlyCsvLoadsAnEmptyService) {
+  ASSERT_TRUE(service_.Apply(SumUpdate(1)).ok());
+  const std::string csv = SumService(&catalog_).ToCsv();  // header only
+  EXPECT_EQ(csv, kCsvHeader);
+  ASSERT_TRUE(service_.LoadCsv(csv).ok());
+  EXPECT_EQ(service_.size(), 0u);
+  EXPECT_EQ(service_.version(), 2u);  // the empty state is published
+}
+
+TEST_F(SumServiceTest, CsvSerializesAtFullDoublePrecision) {
+  // Values with no short decimal representation (regression: %.9g used
+  // to round them and the round trip drifted).
+  const double value = 1.0 / 3.0;
+  const double sensibility = 0.1 + 0.2;  // 0.30000000000000004
+  const double evidence = 1e-17 + 7.0;
+  const AttributeId attr = catalog_.IdOf("age_norm").value();
+  ASSERT_TRUE(service_
+                  .Apply(SumUpdate(1)
+                             .SetValue(attr, value)
+                             .SetSensibility(attr, sensibility)
+                             .AddEvidence(attr, evidence))
+                  .ok());
+  ASSERT_TRUE(service_.Apply(SumUpdate(2)).ok());  // presence row
+
+  const std::string csv = service_.ToCsv();
+  SumService restored(&catalog_);
+  ASSERT_TRUE(restored.LoadCsv(csv).ok());
+  const SmartUserModel& loaded = *restored.snapshot()->Get(1).value();
+  EXPECT_EQ(loaded.value(attr), value);  // bitwise, not NEAR
+  EXPECT_EQ(loaded.sensibility(attr), sensibility);
+  EXPECT_EQ(loaded.evidence(attr), evidence);
+  // ToCsv -> LoadCsv -> ToCsv reproduces the document byte for byte.
+  EXPECT_EQ(restored.ToCsv(), csv);
+}
+
+TEST_F(SumServiceTest, UnknownAttributeRowErrorNamesRowAndAttribute) {
+  const spa::Status status =
+      service_.LoadCsv(std::string(kCsvHeader) +
+                       "1,age_norm,0.5,0.5,1\n"
+                       "2,definitely_not_real,0.5,0.5,1\n");
+  ASSERT_FALSE(status.ok());
+  // The error pinpoints the offending row and attribute name.
+  EXPECT_NE(status.message().find("row 2"), std::string::npos) << status;
+  EXPECT_NE(status.message().find("definitely_not_real"),
+            std::string::npos)
+      << status;
+}
+
+TEST_F(SumServiceTest, LoadCsvRejectsBadInput) {
+  EXPECT_FALSE(service_.LoadCsv("").ok());
+  EXPECT_FALSE(service_
+                   .LoadCsv(std::string(kCsvHeader) +
+                            "1,nonexistent_attr,0.5,0.5,1\n")
+                   .ok());
+  EXPECT_FALSE(
+      service_.LoadCsv(std::string(kCsvHeader) + "x,age_norm,0.5,0.5,1\n")
+          .ok());
+  EXPECT_FALSE(
+      service_.LoadCsv(std::string(kCsvHeader) + "1,age_norm,0.5\n").ok());
+  EXPECT_EQ(service_.version(), 0u);  // nothing was published
+}
+
+TEST_F(SumServiceTest, LoadCsvKeepsCreationOrder) {
+  ASSERT_TRUE(service_
+                  .LoadCsv(std::string(kCsvHeader) +
+                           "3,,0,0,0\n"
+                           "1,age_norm,0.5,0.5,1\n"
+                           "2,,0,0,0\n"
+                           "1,,0,0,0\n")
+                  .ok());
+  std::vector<UserId> seen;
+  service_.snapshot()->ForEach(
+      [&seen](const SmartUserModel& m) { seen.push_back(m.user()); });
+  EXPECT_EQ(seen, (std::vector<UserId>{3, 1, 2}));
+}
+
+TEST_F(SumServiceTest, ApplyRejectsNonFiniteAmounts) {
+  const AttributeId attr = Emo(eit::EmotionalAttribute::kHopeful);
+  ASSERT_TRUE(service_.Apply(SumUpdate(1).SetSensibility(attr, 0.5)).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<SumUpdate> bad = {
+      SumUpdate(1).SetSensibility(attr, nan),
+      SumUpdate(1).SetValue(attr, inf),
+      SumUpdate(1).AddEvidence(attr, -inf),
+      SumUpdate(2).Reward(attr, nan),
+      SumUpdate(2).Punish(attr, inf),
+  };
+  for (const SumUpdate& update : bad) {
+    const spa::Status status = service_.Apply(update);
+    EXPECT_EQ(status.code(), spa::StatusCode::kInvalidArgument) << status;
+  }
+  // A batch with one bad update publishes none of it.
+  const spa::Status batch = service_.ApplyAll(
+      {SumUpdate(3).SetSensibility(attr, 0.2),
+       SumUpdate(3).SetSensibility(attr, nan)});
+  EXPECT_EQ(batch.code(), spa::StatusCode::kInvalidArgument);
+  EXPECT_EQ(service_.version(), 1u);
+  EXPECT_EQ(service_.size(), 1u);
+  EXPECT_EQ(service_.snapshot()->Get(1).value()->sensibility(attr), 0.5);
+}
+
+TEST_F(SumServiceTest, LoadCsvRejectsNonFiniteFields) {
+  ASSERT_TRUE(service_.Apply(SumUpdate(9)).ok());
+  const std::string before = service_.ToCsv();
+  // std::from_chars accepts these spellings; none may reach a model.
+  for (const char* row :
+       {"1,age_norm,nan,0.5,1\n", "1,age_norm,0.5,nan,1\n",
+        "1,age_norm,0.5,0.5,inf\n", "1,age_norm,-inf,0.5,1\n",
+        "1,,nan,0,0\n"}) {
+    const spa::Status status =
+        service_.LoadCsv(std::string(kCsvHeader) + row);
+    EXPECT_EQ(status.code(), spa::StatusCode::kInvalidArgument)
+        << row << status;
+    EXPECT_NE(status.message().find("non-finite"), std::string::npos)
+        << status;
+  }
+  EXPECT_EQ(service_.version(), 1u);
+  EXPECT_EQ(service_.ToCsv(), before);
+}
+
+TEST_F(SumServiceTest, LoadCsvRejectsDuplicateUserAttributeRows) {
+  ASSERT_TRUE(service_.Apply(SumUpdate(9)).ok());
+  const spa::Status status =
+      service_.LoadCsv(std::string(kCsvHeader) +
+                       "1,age_norm,0.5,0.5,1\n"
+                       "2,age_norm,0.5,0.5,1\n"
+                       "1,age_norm,0.25,0.5,2\n");
+  ASSERT_EQ(status.code(), spa::StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("row 3"), std::string::npos) << status;
+  EXPECT_EQ(service_.version(), 1u);
+  EXPECT_EQ(service_.size(), 1u);
+  EXPECT_TRUE(service_.snapshot()->Contains(9));
 }
 
 TEST_F(SumServiceTest, FromModelCapturesNonDefaultState) {

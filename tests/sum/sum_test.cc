@@ -4,7 +4,6 @@
 #include "sum/catalog.h"
 #include "sum/human_values.h"
 #include "sum/reward_punish.h"
-#include "sum/sum_store.h"
 #include "sum/user_model.h"
 
 namespace spa::sum {
@@ -271,133 +270,6 @@ TEST(CoherenceTest, NoSignalIsNeutral) {
     model.set_value(id, 0.0);
   }
   EXPECT_DOUBLE_EQ(CoherenceFunction(model), 0.5);
-}
-
-TEST(SumStoreTest, GetOrCreateAndLookup) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  SumStore store(&catalog);
-  EXPECT_EQ(store.size(), 0u);
-  SmartUserModel* m = store.GetOrCreate(5);
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.GetOrCreate(5), m);  // same object
-  EXPECT_EQ(store.size(), 1u);
-  ASSERT_TRUE(store.Get(5).ok());
-  EXPECT_FALSE(store.Get(6).ok());
-  ASSERT_TRUE(store.GetMutable(5).ok());
-  EXPECT_FALSE(store.GetMutable(7).ok());
-}
-
-TEST(SumStoreTest, CsvRoundTripPreservesState) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  SumStore store(&catalog);
-  SmartUserModel* a = store.GetOrCreate(10);
-  a->set_value(catalog.IdOf("age_norm").value(), 0.4);
-  a->set_sensibility(
-      catalog.EmotionalId(eit::EmotionalAttribute::kHopeful), 0.75);
-  a->add_evidence(catalog.EmotionalId(eit::EmotionalAttribute::kHopeful),
-                  3.0);
-  store.GetOrCreate(11);  // untouched model -> presence row only
-
-  const std::string csv = store.ToCsv();
-  const auto restored = SumStore::FromCsv(csv, &catalog);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // The untouched user survives the round trip (regression: presence
-  // rows; it used to vanish entirely).
-  EXPECT_EQ(restored->size(), 2u);
-  ASSERT_TRUE(restored->Get(11).ok());
-  const auto loaded = restored->Get(10);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_DOUBLE_EQ(loaded.value()->value(catalog.IdOf("age_norm").value()),
-                   0.4);
-  EXPECT_DOUBLE_EQ(
-      loaded.value()->sensibility(
-          catalog.EmotionalId(eit::EmotionalAttribute::kHopeful)),
-      0.75);
-  EXPECT_DOUBLE_EQ(
-      loaded.value()->evidence(
-          catalog.EmotionalId(eit::EmotionalAttribute::kHopeful)),
-      3.0);
-}
-
-TEST(SumStoreTest, EmptyStoreRoundTripsToEmptyStore) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  const SumStore store(&catalog);
-  const std::string csv = store.ToCsv();  // header only
-  const auto restored = SumStore::FromCsv(csv, &catalog);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->size(), 0u);
-}
-
-TEST(SumStoreTest, CsvSerializesAtFullDoublePrecision) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  SumStore store(&catalog);
-  SmartUserModel* m = store.GetOrCreate(1);
-  // Values with no short decimal representation (regression: %.9g used
-  // to round them and the round trip drifted).
-  const double value = 1.0 / 3.0;
-  const double sensibility = 0.1 + 0.2;  // 0.30000000000000004
-  const double evidence = 1e-17 + 7.0;
-  const AttributeId attr = catalog.IdOf("age_norm").value();
-  m->set_value(attr, value);
-  m->set_sensibility(attr, sensibility);
-  m->add_evidence(attr, evidence);
-
-  const auto restored = SumStore::FromCsv(store.ToCsv(), &catalog);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  const SmartUserModel& loaded = *restored->Get(1).value();
-  EXPECT_EQ(loaded.value(attr), value);  // bitwise, not NEAR
-  EXPECT_EQ(loaded.sensibility(attr), sensibility);
-  EXPECT_EQ(loaded.evidence(attr), evidence);
-}
-
-TEST(SumStoreTest, UnknownAttributeRowErrorNamesRowAndAttribute) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  const auto result =
-      SumStore::FromCsv("user,attribute,value,sensibility,evidence\n"
-                        "1,age_norm,0.5,0.5,1\n"
-                        "2,definitely_not_real,0.5,0.5,1\n",
-                        &catalog);
-  ASSERT_FALSE(result.ok());
-  // The error pinpoints the offending row and attribute name.
-  EXPECT_NE(result.status().message().find("row 2"), std::string::npos)
-      << result.status();
-  EXPECT_NE(result.status().message().find("definitely_not_real"),
-            std::string::npos)
-      << result.status();
-}
-
-TEST(SumStoreTest, FromCsvRejectsBadInput) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  EXPECT_FALSE(SumStore::FromCsv("", &catalog).ok());
-  EXPECT_FALSE(
-      SumStore::FromCsv("user,attribute,value,sensibility,evidence\n"
-                        "1,nonexistent_attr,0.5,0.5,1\n",
-                        &catalog)
-          .ok());
-  EXPECT_FALSE(
-      SumStore::FromCsv("user,attribute,value,sensibility,evidence\n"
-                        "x,age_norm,0.5,0.5,1\n",
-                        &catalog)
-          .ok());
-  EXPECT_FALSE(
-      SumStore::FromCsv("user,attribute,value,sensibility,evidence\n"
-                        "1,age_norm,0.5\n",
-                        &catalog)
-          .ok());
-}
-
-TEST(SumStoreTest, ForEachVisitsCreationOrder) {
-  const AttributeCatalog catalog = AttributeCatalog::EmagisterDefault();
-  SumStore store(&catalog);
-  store.GetOrCreate(3);
-  store.GetOrCreate(1);
-  store.GetOrCreate(2);
-  std::vector<UserId> seen;
-  store.ForEach([&seen](const SmartUserModel& m) {
-    seen.push_back(m.user());
-  });
-  EXPECT_EQ(seen, (std::vector<UserId>{3, 1, 2}));
 }
 
 // Property sweep over learning rates: reward/punish always keep the
