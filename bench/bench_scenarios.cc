@@ -15,60 +15,51 @@
 //     (the SLO verdict is reported but host-perf dependent, so it
 //     does not gate).
 //
-// Results merge into BENCH_serving.json under the "scenarios" key
-// (the rest of the file, written by bench_serving, is preserved).
+// Results land in BENCH_scenarios.json.
 //
 //   ./build/bench/bench_scenarios [--users=N] [--seed=S] [--smoke]
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "json_writer.h"
 #include "workload/scenario.h"
 #include "workload/scenario_runner.h"
 
 namespace spa::bench {
 namespace {
 
-/// Splices `scenarios_json` (the full `"scenarios": {...}` object
-/// body) into BENCH_serving.json, replacing any previous "scenarios"
-/// key and preserving everything bench_serving wrote. Writes a fresh
-/// file when none exists.
-void MergeIntoBenchJson(const std::string& scenarios_json) {
-  std::string existing;
-  if (std::FILE* in = std::fopen("BENCH_serving.json", "rb")) {
-    char buffer[4096];
-    size_t got;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), in)) > 0) {
-      existing.append(buffer, got);
-    }
-    std::fclose(in);
+/// Replays `scenario` through the backend `config` names, prints its
+/// line and appends its outcome. Returns false when the run failed or
+/// a sampled response diverged from the reference.
+bool RunCell(const workload::ScenarioConfig& scenario,
+             workload::RunnerConfig config, bool smoke,
+             std::vector<workload::ScenarioOutcome>* outcomes) {
+  if (smoke) {
+    config.calibration_requests = 100;
+    config.slo.parity_samples = 32;
   }
-
-  std::string prefix;
-  const size_t marker = existing.find(",\n  \"scenarios\":");
-  if (marker != std::string::npos) {
-    prefix = existing.substr(0, marker);  // replace the previous run
-  } else {
-    const size_t close = existing.rfind('}');
-    if (close != std::string::npos) {
-      prefix = existing.substr(0, close);
-    }
+  const workload::ScenarioRunner runner(config);
+  const workload::ScenarioOutcome& o =
+      outcomes->emplace_back(runner.Run(scenario));
+  if (!o.status.ok()) {
+    std::printf("%-22s %-8s FAILED: %s\n", o.scenario.c_str(),
+                o.backend.c_str(), o.status.ToString().c_str());
+    return false;
   }
-  while (!prefix.empty() &&
-         (prefix.back() == '\n' || prefix.back() == ' ' ||
-          prefix.back() == '\t')) {
-    prefix.pop_back();
-  }
-  if (prefix.empty()) prefix = "{\n  \"bench\": \"serving\"";
-
-  std::FILE* out = std::fopen("BENCH_serving.json", "w");
-  if (out == nullptr) return;
-  std::fprintf(out, "%s,\n  \"scenarios\": %s\n}\n", prefix.c_str(),
-               scenarios_json.c_str());
-  std::fclose(out);
-  std::printf("\nmerged \"scenarios\" into BENCH_serving.json\n");
+  std::printf(
+      "%-22s %-8s offered %8.0f req/s | served %8.0f req/s | "
+      "p50 %8.3f ms | p99 %8.3f ms | shed %llu | fallback %llu | "
+      "dropped %llu | hit %.3f | slo %s | parity %s (%zu checked)\n",
+      o.scenario.c_str(), o.backend.c_str(), o.offered_rps,
+      o.achieved_rps, o.p50_ms, o.p99_ms,
+      static_cast<unsigned long long>(o.shed_reads),
+      static_cast<unsigned long long>(o.fallback_served),
+      static_cast<unsigned long long>(o.expired_drops), o.cache_hit_rate,
+      o.slo_pass ? "PASS" : "FAIL", o.parity ? "OK" : "MISMATCH",
+      o.parity_checked);
+  return o.parity;
 }
 
 int Main(int argc, char** argv) {
@@ -107,32 +98,7 @@ int Main(int argc, char** argv) {
     for (const workload::ScenarioConfig& scenario : scenarios) {
       workload::RunnerConfig config;
       config.backend = backend;
-      if (flags.smoke) {
-        config.calibration_requests = 100;
-        config.slo.parity_samples = 32;
-      }
-      const workload::ScenarioRunner runner(config);
-      const workload::ScenarioOutcome outcome = runner.Run(scenario);
-      if (!outcome.status.ok()) {
-        std::printf("%-22s %-8s FAILED: %s\n",
-                    outcome.scenario.c_str(), outcome.backend.c_str(),
-                    outcome.status.ToString().c_str());
-        parity = false;
-        outcomes.push_back(outcome);
-        continue;
-      }
-      if (!outcome.parity) parity = false;
-      std::printf(
-          "%-22s %-8s offered %8.0f req/s | served %8.0f req/s | "
-          "p50 %8.3f ms | p99 %8.3f ms | shed %llu | hit %.3f | "
-          "slo %s | parity %s (%zu checked)\n",
-          outcome.scenario.c_str(), outcome.backend.c_str(),
-          outcome.offered_rps, outcome.achieved_rps, outcome.p50_ms,
-          outcome.p99_ms,
-          static_cast<unsigned long long>(outcome.shed_reads),
-          outcome.cache_hit_rate, outcome.slo_pass ? "PASS" : "FAIL",
-          outcome.parity ? "OK" : "MISMATCH", outcome.parity_checked);
-      outcomes.push_back(outcome);
+      parity = RunCell(scenario, config, flags.smoke, &outcomes) && parity;
     }
   }
 
@@ -160,86 +126,57 @@ int Main(int argc, char** argv) {
     config.pipeline_workers = 1;
     config.queue_capacity = 64;
     config.offered_fraction = 3.0;
-    if (flags.smoke) {
-      config.calibration_requests = 100;
-      config.slo.parity_samples = 32;
-    }
-    const workload::ScenarioRunner runner(config);
-    const workload::ScenarioOutcome outcome = runner.Run(crowd);
-    if (!outcome.status.ok()) {
-      std::printf("%-22s %-8s FAILED: %s\n", outcome.scenario.c_str(),
-                  outcome.backend.c_str(),
-                  outcome.status.ToString().c_str());
+    parity = RunCell(crowd, config, flags.smoke, &outcomes) && parity;
+    if (outcomes.back().status.ok() && outcomes.back().fallback_served == 0) {
+      // The whole point of the cell: overload must be answered with
+      // degraded service, not silence.
+      std::printf("flash_crowd_degrade: no fallback serves under "
+                  "%.1fx overload - degradation path not exercised\n",
+                  config.offered_fraction);
       parity = false;
-    } else {
-      if (!outcome.parity) parity = false;
-      if (outcome.fallback_served == 0) {
-        // The whole point of the cell: overload must be answered with
-        // degraded service, not silence.
-        std::printf("flash_crowd_degrade: no fallback serves under "
-                    "%.1fx overload - degradation path not exercised\n",
-                    config.offered_fraction);
-        parity = false;
-      }
-      std::printf(
-          "%-22s %-8s offered %8.0f req/s | served %8.0f req/s | "
-          "p50 %8.3f ms | p99 %8.3f ms | fallback %llu | "
-          "dropped %llu | slo %s | parity %s (%zu checked)\n",
-          outcome.scenario.c_str(), outcome.backend.c_str(),
-          outcome.offered_rps, outcome.achieved_rps, outcome.p50_ms,
-          outcome.p99_ms,
-          static_cast<unsigned long long>(outcome.fallback_served),
-          static_cast<unsigned long long>(outcome.expired_drops),
-          outcome.slo_pass ? "PASS" : "FAIL",
-          outcome.parity ? "OK" : "MISMATCH", outcome.parity_checked);
     }
-    outcomes.push_back(outcome);
   }
 
   // ---- JSON ---------------------------------------------------------------
-  std::string json = StrFormat(
-      "{\n    \"users\": %zu,\n    \"target_events\": %zu,\n"
-      "    \"smoke\": %s,\n    \"parity\": %s,\n    \"matrix\": [\n",
-      users, target_events, flags.smoke ? "true" : "false",
-      parity ? "true" : "false");
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const workload::ScenarioOutcome& o = outcomes[i];
-    char fingerprint[32];
-    std::snprintf(fingerprint, sizeof(fingerprint), "0x%016llx",
-                  static_cast<unsigned long long>(o.stream_fingerprint));
-    json += StrFormat(
-        "      {\"scenario\": \"%s\", \"backend\": \"%s\", "
-        "\"ok\": %s, \"users\": %zu, \"events\": %zu, "
-        "\"fingerprint\": \"%s\", \"offered_rps\": %.1f, "
-        "\"achieved_rps\": %.1f, ",
-        o.scenario.c_str(), o.backend.c_str(),
-        o.status.ok() ? "true" : "false", o.users, o.events,
-        fingerprint, o.offered_rps, o.achieved_rps);
+  JsonWriter json = OpenArtifact(
+      "scenarios", flags,
+      {{"users", users}, {"target_events", target_events}});
+  json.Field("parity", parity);
+  json.BeginArray("matrix");
+  for (const workload::ScenarioOutcome& o : outcomes) {
     const QuantileSnapshot e2e = Quantiles(o.end_to_end, 1e3);
-    json += StrFormat(
-        "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, ",
-        e2e.p50, e2e.p95, e2e.p99);
-    json += StrFormat(
-        "\"responses\": %llu, \"updates\": %llu, "
-        "\"shed_reads\": %llu, \"shed_writes\": %llu, "
-        "\"fallback_served\": %llu, \"expired_drops\": %llu, "
-        "\"max_queue_depth\": %llu, \"max_writer_queue_depth\": %llu, "
-        "\"cache_hit_rate\": %.4f, \"parity_checked\": %zu, "
-        "\"parity\": %s, \"slo_pass\": %s}%s\n",
-        static_cast<unsigned long long>(o.responses),
-        static_cast<unsigned long long>(o.updates_applied),
-        static_cast<unsigned long long>(o.shed_reads),
-        static_cast<unsigned long long>(o.shed_writes),
-        static_cast<unsigned long long>(o.fallback_served),
-        static_cast<unsigned long long>(o.expired_drops),
-        static_cast<unsigned long long>(o.max_queue_depth),
-        static_cast<unsigned long long>(o.max_writer_queue_depth),
-        o.cache_hit_rate, o.parity_checked,
-        o.parity ? "true" : "false", o.slo_pass ? "true" : "false",
-        i + 1 < outcomes.size() ? "," : "");
+    json.BeginObject();
+    json.Field("scenario", o.scenario);
+    json.Field("backend", o.backend);
+    json.Field("ok", o.status.ok());
+    json.Field("users", o.users);
+    json.Field("events", o.events);
+    json.Field("fingerprint",
+               StrFormat("0x%016llx", static_cast<unsigned long long>(
+                                          o.stream_fingerprint)));
+    json.Field("offered_rps", o.offered_rps);
+    json.Field("achieved_rps", o.achieved_rps);
+    json.Field("p50_ms", e2e.p50);
+    json.Field("p95_ms", e2e.p95);
+    json.Field("p99_ms", e2e.p99);
+    json.Field("responses", o.responses);
+    json.Field("updates", o.updates_applied);
+    json.Field("shed_reads", o.shed_reads);
+    json.Field("shed_writes", o.shed_writes);
+    json.Field("fallback_served", o.fallback_served);
+    json.Field("expired_drops", o.expired_drops);
+    json.Field("max_queue_depth", o.max_queue_depth);
+    json.Field("max_writer_queue_depth", o.max_writer_queue_depth);
+    json.Field("cache_hit_rate", o.cache_hit_rate);
+    json.Field("parity_checked", o.parity_checked);
+    json.Field("parity", o.parity);
+    json.Field("slo_pass", o.slo_pass);
+    json.EndObject();
   }
-  json += "    ]\n  }";
-  MergeIntoBenchJson(json);
+  json.EndArray();
+  if (json.WriteFile("BENCH_scenarios.json")) {
+    std::printf("\nwrote BENCH_scenarios.json\n");
+  }
 
   // Streamed/routed serving must reproduce the synchronous reference
   // bitwise at every sampled pin; SLO verdicts are reported above but

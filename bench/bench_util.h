@@ -52,7 +52,6 @@ inline CommonFlags ParseFlags(int argc, char** argv) {
 /// `Quantile(0.50/0.95/0.99)` triple that bench_serving and
 /// bench_scenarios both emit per histogram.
 struct QuantileSnapshot {
-  uint64_t count = 0;
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
@@ -61,22 +60,10 @@ struct QuantileSnapshot {
 inline QuantileSnapshot Quantiles(const spa::LogHistogram& histogram,
                                   double scale = 1.0) {
   QuantileSnapshot snapshot;
-  snapshot.count = histogram.total();
   snapshot.p50 = histogram.Quantile(0.50) * scale;
   snapshot.p95 = histogram.Quantile(0.95) * scale;
   snapshot.p99 = histogram.Quantile(0.99) * scale;
   return snapshot;
-}
-
-/// Emits the quantile triple as JSON fields (no braces, no trailing
-/// comma): `"p50_<unit>": x, "p95_<unit>": y, "p99_<unit>": z`.
-inline void WriteQuantileFields(std::FILE* json,
-                                const QuantileSnapshot& quantiles,
-                                const char* unit) {
-  std::fprintf(json,
-               "\"p50_%s\": %.4f, \"p95_%s\": %.4f, \"p99_%s\": %.4f",
-               unit, quantiles.p50, unit, quantiles.p95, unit,
-               quantiles.p99);
 }
 
 inline void PrintHeader(const std::string& title) {

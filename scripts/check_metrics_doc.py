@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
-"""Fail when docs/METRICS.md and BENCH_serving.json disagree.
+"""Fail when docs/METRICS.md and the bench artifacts disagree.
 
 The metrics contract (docs/METRICS.md) lists key sets as backticked
 names between `<!-- NAME:begin -->` / `<!-- NAME:end -->` markers.
 Each marker block is compared with the keys of the matching object in
-an actual smoke artifact, in both directions:
+an actual artifact, in both directions:
 
   * a key in the artifact but not the doc  -> the doc is stale;
   * a key in the doc but not the artifact  -> the doc over-promises.
 
-Checked blocks:
+Each artifact is checked against the blocks for its `bench` tag:
 
-  * `bench-keys`           -> the artifact's top-level keys;
-  * `streaming-keys`       -> the `streaming` section (the open-loop
-                              deadline-degradation sweep);
-  * `streaming-point-keys` -> each entry of `streaming.points[]`.
+  * `serving` (BENCH_serving.json):
+      `bench-keys`           -> top-level keys;
+      `provenance-keys`      -> the `provenance` block;
+      `streaming-keys`       -> the `streaming` section (the open-loop
+                                deadline-degradation sweep);
+      `streaming-point-keys` -> each entry of `streaming.points[]`;
+  * `scenarios` (BENCH_scenarios.json):
+      `scenarios-keys`       -> top-level keys;
+      `provenance-keys`      -> the `provenance` block;
+      `scenario-cell-keys`   -> each entry of `matrix[]`.
 
-Usage: check_metrics_doc.py <docs/METRICS.md> <BENCH_serving.json>
+Usage: check_metrics_doc.py <docs/METRICS.md> <artifact.json>...
 
 Exit code 0 when every set matches exactly, 1 otherwise (and on a
-missing marker block, which would make the check vacuous).
+missing marker block or an empty list, which would make the check
+vacuous).
 """
 
 import json
@@ -57,33 +64,61 @@ def compare(doc_path, json_path, what, documented, actual):
     return 0
 
 
-def main(argv):
-    if len(argv) != 3:
-        sys.exit(f"usage: {argv[0]} <METRICS.md> <BENCH_serving.json>")
-    doc_path, json_path = argv[1], argv[2]
-    text = open(doc_path, encoding="utf-8").read()
+def member(json_path, parent, path):
+    """The object at `path` ('a' or 'a[]' for the first list entry)."""
+    node = parent
+    for step in path.split("."):
+        first = step.endswith("[]")
+        key = step[:-2] if first else step
+        node = node.get(key) if isinstance(node, dict) else None
+        if first:
+            node = node[0] if isinstance(node, list) and node else None
+    if not isinstance(node, dict):
+        print(f"{json_path} has no non-empty \"{path}\" object to check")
+        return None
+    return node
+
+
+# Per artifact tag: (object path or "" for the top level, marker block).
+CHECKS = {
+    "serving": [("", "bench-keys"),
+                ("provenance", "provenance-keys"),
+                ("streaming", "streaming-keys"),
+                ("streaming.points[]", "streaming-point-keys")],
+    "scenarios": [("", "scenarios-keys"),
+                  ("provenance", "provenance-keys"),
+                  ("matrix[]", "scenario-cell-keys")],
+}
+
+
+def check_artifact(doc_path, text, json_path):
     with open(json_path, encoding="utf-8") as f:
         artifact = json.load(f)
-
-    rc = compare(doc_path, json_path, "top-level",
-                 documented_keys(text, doc_path, "bench-keys"),
-                 set(artifact.keys()))
-
-    streaming = artifact.get("streaming")
-    if not isinstance(streaming, dict):
-        print(f"{json_path} has no \"streaming\" object to check")
+    checks = CHECKS.get(artifact.get("bench"))
+    if checks is None:
+        print(f"{json_path} has an unknown \"bench\" tag: "
+              f"{artifact.get('bench')!r}")
         return 1
-    rc |= compare(doc_path, json_path, "streaming",
-                  documented_keys(text, doc_path, "streaming-keys"),
-                  set(streaming.keys()))
-    points = streaming.get("points") or []
-    if not points:
-        print(f"{json_path} has an empty \"streaming.points\" sweep")
-        return 1
-    rc |= compare(doc_path, json_path, "streaming point",
-                  documented_keys(text, doc_path,
-                                  "streaming-point-keys"),
-                  set(points[0].keys()))
+    rc = 0
+    for path, block in checks:
+        node = member(json_path, artifact, path) if path else artifact
+        if node is None:
+            rc = 1
+            continue
+        rc |= compare(doc_path, json_path, path or "top-level",
+                      documented_keys(text, doc_path, block),
+                      set(node.keys()))
+    return rc
+
+
+def main(argv):
+    if len(argv) < 3:
+        sys.exit(f"usage: {argv[0]} <METRICS.md> <artifact.json>...")
+    doc_path = argv[1]
+    text = open(doc_path, encoding="utf-8").read()
+    rc = 0
+    for json_path in argv[2:]:
+        rc |= check_artifact(doc_path, text, json_path)
     return rc
 
 

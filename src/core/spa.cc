@@ -166,23 +166,21 @@ void Spa::SetItemEmotionProfile(lifelog::ItemId item,
 }
 
 spa::Status Spa::RefreshRecommenders() {
-  if (!serving_pipeline_.expired()) {
-    // Rebuilding replaces engine_ while the pipeline's drain workers
-    // may be inside it — refuse loudly instead of a use-after-free.
-    return spa::Status::FailedPrecondition(
-        "a streaming pipeline is serving from the current engine; "
-        "destroy it before refreshing the recommender stack");
-  }
   // Rebuild the interaction matrix from the LifeLog (single source of
   // truth for what users touched). Shard count comes from the engine
   // config; any count stores bit-for-bit identical data.
   interactions_ =
       recsys::InteractionMatrix(config_.engine.interaction_shards);
-  // Same ordered log the router tier bootstraps worker replicas from
-  // (identical Add order => bitwise-identical matrices).
-  for (const recsys::Interaction& it : CollectInteractions()) {
-    interactions_.Add(it.user, it.item, it.weight);
-  }
+  logs_.ForEachUser([this](sum::UserId user,
+                           const std::vector<lifelog::Event>& events) {
+    for (const lifelog::Event& event : events) {
+      if (event.item == lifelog::kNoItem) continue;
+      const auto type = actions_.TypeOf(event.action_code);
+      if (!type.ok()) continue;
+      const double weight = InteractionWeight(type.value(), event.value);
+      if (weight > 0.0) interactions_.Add(user, event.item, weight);
+    }
+  });
 
   if (interactions_.interaction_count() == 0) {
     return spa::Status::FailedPrecondition(
@@ -261,83 +259,6 @@ std::vector<spa::Result<recsys::RecommendResponse>> Spa::RecommendBatch(
     }
   }
   return engine_->RecommendBatch(requests);
-}
-
-spa::Result<std::shared_ptr<recsys::ServingPipeline>>
-Spa::MakeServingPipeline(recsys::PipelineConfig config) {
-  if (auto live = serving_pipeline_.lock()) {
-    return spa::Status::FailedPrecondition(
-        "a streaming pipeline is already serving from the engine; "
-        "destroy it before building another");
-  }
-  if (!recommenders_ready_) {
-    SPA_RETURN_IF_ERROR(RefreshRecommenders());
-  }
-  auto pipeline = std::make_shared<recsys::ServingPipeline>(
-      engine_.get(), &sum_service_, config);
-  serving_pipeline_ = pipeline;
-  return pipeline;
-}
-
-std::vector<recsys::Interaction> Spa::CollectInteractions() const {
-  std::vector<recsys::Interaction> interactions;
-  logs_.ForEachUser([this, &interactions](
-                        sum::UserId user,
-                        const std::vector<lifelog::Event>& events) {
-    for (const lifelog::Event& event : events) {
-      if (event.item == lifelog::kNoItem) continue;
-      const auto type = actions_.TypeOf(event.action_code);
-      if (!type.ok()) continue;
-      const double weight = InteractionWeight(type.value(), event.value);
-      if (weight > 0.0) {
-        interactions.push_back(
-            recsys::Interaction{user, event.item, weight});
-      }
-    }
-  });
-  return interactions;
-}
-
-spa::Result<std::unique_ptr<recsys::ServingRouter>>
-Spa::MakeServingRouter(recsys::RouterConfig config) {
-  std::vector<recsys::Interaction> bootstrap = CollectInteractions();
-  if (bootstrap.empty()) {
-    return spa::Status::FailedPrecondition(
-        "no item interactions recorded yet");
-  }
-  // Routed rankings must match the facade's: stamp the platform's
-  // re-rank parameters and emotion switch, as RefreshRecommenders
-  // does for its own engine.
-  config.engine.rerank = config_.rerank;
-  config.engine.emotion_enabled = config_.include_emotional_features;
-  if (!config.stack_builder) {
-    // Self-contained copies: the router (and any late-joining worker)
-    // must be able to rebuild the stack after the platform's catalogs
-    // moved on, and must build the *same* stack every time.
-    auto features = item_features_;
-    auto profiles = emotion_profiles_;
-    config.stack_builder = [features = std::move(features),
-                            profiles = std::move(profiles)](
-                               recsys::RecsysEngine& engine) {
-      engine.AddComponent(std::make_unique<recsys::ItemKnnRecommender>(),
-                          0.45);
-      engine.AddComponent(
-          std::make_unique<recsys::PopularityRecommender>(), 0.10);
-      if (!features.empty()) {
-        auto content = std::make_unique<recsys::ContentBasedRecommender>();
-        for (const auto& [item, feature] : features) {
-          content->SetItemFeatures(item, feature);
-        }
-        engine.AddComponent(std::move(content), 0.45);
-      }
-      for (const auto& [item, profile] : profiles) {
-        engine.SetItemEmotionProfile(item, profile);
-      }
-    };
-  }
-  return recsys::ServingRouter::Create(std::move(config),
-                                       std::move(bootstrap),
-                                       &sum_service_);
 }
 
 std::vector<recsys::Scored> Spa::RecommendCourses(sum::UserId user,

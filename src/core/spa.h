@@ -17,8 +17,6 @@
 #include "recsys/emotion_aware.h"
 #include "recsys/engine.h"
 #include "recsys/request.h"
-#include "recsys/router/serving_router.h"
-#include "recsys/serving_pipeline.h"
 
 /// \file
 /// The SPA platform facade: wires the five Fig. 3 components together —
@@ -108,7 +106,10 @@ class Spa {
   spa::Status RefreshRecommenders();
 
   /// The serving engine behind the advice stage (null until the first
-  /// successful RefreshRecommenders / Recommend call).
+  /// successful RefreshRecommenders / Recommend call). Streaming callers
+  /// build a `recsys::ServingPipeline` over it (with `sum_service()`);
+  /// RefreshRecommenders replaces the engine, so destroy any pipeline
+  /// over it first.
   recsys::RecsysEngine* engine() { return engine_.get(); }
 
   /// Serves one recommendation request through the engine. The request
@@ -125,52 +126,6 @@ class Spa {
   /// calls exactly.
   std::vector<spa::Result<recsys::RecommendResponse>> RecommendBatch(
       std::vector<recsys::RecommendRequest> requests);
-
-  /// Builds an async streaming pipeline over the serving engine and
-  /// the platform's SUM service (refreshing the recommender stack
-  /// first when interactions changed): callers Submit requests /
-  /// interaction batches / SUM publishes and collect tickets instead
-  /// of blocking on a closed batch.
-  ///
-  /// Lifetime: the pipeline borrows the engine, so while the returned
-  /// handle is alive `RefreshRecommenders` *refuses to run* (a lazily
-  /// triggered refresh surfaces as FailedPrecondition from
-  /// Recommend/RecommendBatch rather than replacing an engine whose
-  /// workers are mid-serve). Destroy the pipeline before mutating the
-  /// platform in ways that require a stack rebuild.
-  ///
-  /// Caveats vs. the synchronous facade path: the pipeline's fast
-  /// path skips the sparse-seen-item merge (zero-weight LifeLog
-  /// events) — callers that need it put those items in
-  /// `exclude_items` — and `SubmitInteractions` is a *serving-layer*
-  /// live update: it reaches the engine's matrix but not the LifeLog,
-  /// so events that must survive the next stack rebuild go through
-  /// `Record` as well.
-  spa::Result<std::shared_ptr<recsys::ServingPipeline>>
-  MakeServingPipeline(recsys::PipelineConfig config = {});
-
-  /// Builds a router-tier serving deployment: `config.workers` worker
-  /// nodes (each a full serving replica — own matrix, engine, indexes,
-  /// response cache and streaming queue) behind a `ServingRouter` that
-  /// resolves request ownership through an `OwnershipDirectory` and
-  /// shares the platform's SUM service across all nodes.
-  ///
-  /// The worker replicas bootstrap from the LifeLog's current
-  /// interactions with the same weighting `RefreshRecommenders` uses,
-  /// and — unless the caller installs its own `stack_builder` — each
-  /// node assembles the platform's standard stack (item-KNN +
-  /// popularity + content-based when item features exist, plus the
-  /// registered emotion profiles). `config.engine.rerank` and
-  /// `.emotion_enabled` are stamped from the platform config so routed
-  /// rankings match the facade's.
-  ///
-  /// Unlike MakeServingPipeline, the router borrows nothing from the
-  /// platform's own engine (its nodes are self-contained replicas), so
-  /// it does not block `RefreshRecommenders`; like the pipeline,
-  /// `SubmitInteractions` is a serving-layer update that does not
-  /// reach the LifeLog.
-  spa::Result<std::unique_ptr<recsys::ServingRouter>> MakeServingRouter(
-      recsys::RouterConfig config = {});
 
   /// Top-k course suggestions; emotion-aware re-ranking applied when a
   /// SUM exists and emotional features are enabled. (Compatibility
@@ -229,9 +184,6 @@ class Spa {
   std::unordered_map<lifelog::ItemId, recsys::EmotionProfile>
       emotion_profiles_;
   std::unique_ptr<recsys::RecsysEngine> engine_;
-  /// Live streaming pipeline handed out by MakeServingPipeline (if
-  /// any). While it is alive the engine must not be replaced.
-  std::weak_ptr<recsys::ServingPipeline> serving_pipeline_;
   bool recommenders_ready_ = false;
 
   /// Per-user cache of SparseSeenFor results; cleared whenever the
@@ -240,11 +192,6 @@ class Spa {
       sparse_seen_;
 
   eit::UserEitState& EitStateFor(sum::UserId user);
-
-  /// The LifeLog's interactions as an ordered batch (the weighting
-  /// RefreshRecommenders feeds its matrix with) — the bootstrap log
-  /// router worker replicas replay.
-  std::vector<recsys::Interaction> CollectInteractions() const;
 
   /// Items the user touched per the LifeLog that never entered the
   /// (sparse) interaction matrix — zero-weight interactions the seen

@@ -105,6 +105,7 @@ struct RecsysEngine::ServeScratch {
   std::vector<RequestContext> misses;  ///< emptied after every batch
   std::vector<ServeState> states;      ///< states[m] serves misses[m]
   kernels::ScoreWorkspace ws;
+  std::vector<Scored> fallback;        ///< RecommendFallbackInto's ranking
 };
 
 std::unique_ptr<RecsysEngine::ServeScratch> RecsysEngine::AcquireScratch()
@@ -612,14 +613,16 @@ spa::Status RecsysEngine::RecommendFallbackInto(
   out->explained = false;
   out->emotion_applied = false;
   out->degraded = true;
-  const std::vector<Scored> ranked = fallback_pop_.RecommendCandidates(query);
-  out->items.reserve(ranked.size());
-  for (const Scored& scored : ranked) {
+  std::unique_ptr<ServeScratch> scratch = AcquireScratch();
+  fallback_pop_.RecommendCandidatesInto(query, &scratch->fallback);
+  out->items.reserve(scratch->fallback.size());
+  for (const Scored& scored : scratch->fallback) {
     RecommendedItem item;
     item.item = scored.item;
     item.score = scored.score;
     out->items.push_back(std::move(item));
   }
+  ReleaseScratch(std::move(scratch));
   return spa::Status::OK();
 }
 

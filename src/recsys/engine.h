@@ -396,10 +396,11 @@ class RecsysEngine {
   /// the .cc).
   struct ServeState;
   /// The pooled per-batch scratch of the serve core: the admission
-  /// contexts and stage states of the batch's cache misses plus the
-  /// scoring workspace, recycled across batches so their capacities
-  /// persist and the warm serve path never touches the heap (defined
-  /// in the .cc).
+  /// contexts and stage states of the batch's cache misses, the
+  /// scoring workspace and the fallback tier's ranking buffer,
+  /// recycled across calls so their capacities persist and the warm
+  /// serve and fallback paths never touch the heap (defined in the
+  /// .cc).
   struct ServeScratch;
 
   /// Checks a recycled scratch out of / back into the free list

@@ -179,10 +179,6 @@ struct RouterStats {
   uint64_t joins = 0;
   uint64_t leaves = 0;
   uint64_t shards_moved = 0;    ///< total ShardMoves across changes
-  /// Degrade-tier shed quality summed across workers (see
-  /// `PipelineStats::fallback_served` / `expired_drops`).
-  uint64_t fallback_served = 0;
-  uint64_t expired_drops = 0;
   std::vector<RouterWorkerStats> workers;  ///< ascending by worker id
   /// Per-response end-to-end latency merged across all workers.
   LogHistogram end_to_end;

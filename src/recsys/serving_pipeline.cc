@@ -152,8 +152,7 @@ size_t ServingPipeline::worker_count() const {
 
 spa::Result<StreamTicketPtr> ServingPipeline::Submit(
     RecommendRequest request, StreamTicket::Callback on_complete) {
-  return SubmitWithDeadline(std::move(request),
-                            config_.default_deadline_seconds,
+  return SubmitWithDeadline(std::move(request), /*deadline_seconds=*/0.0,
                             std::move(on_complete));
 }
 
@@ -595,7 +594,6 @@ PipelineStats ServingPipeline::stats() const {
   out.admitted = admitted_;
   out.shed_reads = shed_reads_;
   out.shed_writes = shed_writes_;
-  out.shed = shed_reads_ + shed_writes_;
   out.responses = responses_;
   out.batches = batches_;
   out.updates_applied = updates_applied_;

@@ -69,8 +69,8 @@
 /// ## Deadline-aware degradation (`kDegrade`)
 ///
 /// Under `BackpressurePolicy::kDegrade` read requests carry a
-/// deadline (per-Submit, or `PipelineConfig::default_deadline_seconds`
-/// when unset; writes never carry one). Overload then sheds by
+/// deadline (`SubmitWithDeadline`; plain `Submit` reads and writes
+/// never carry one). Overload then sheds by
 /// *remaining slack* instead of queue position:
 ///
 ///  * **Admission**: when the read lane is full, the op with the least
@@ -131,11 +131,6 @@ struct PipelineConfig {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// Max requests drained into one micro-batch (one pinned snapshot).
   size_t max_batch = 32;
-  /// Deadline stamped on reads submitted without an explicit one,
-  /// seconds from admission (kDegrade only; 0 = no deadline — such
-  /// reads never expire and never degrade, but can still be the
-  /// shed victim when everything queued has infinite slack).
-  double default_deadline_seconds = 0.0;
 };
 
 /// \brief What kind of op a ticket tracks.
@@ -219,11 +214,9 @@ using StreamTicketPtr = std::shared_ptr<StreamTicket>;
 struct PipelineStats {
   uint64_t submitted = 0;   ///< Submit* calls (admitted or not)
   uint64_t admitted = 0;    ///< ops that entered a queue
-  uint64_t shed = 0;        ///< kShedOldest drops (both lanes)
-  /// Per-lane breakouts of `shed` (the total above stays, as the sum):
-  /// overload diagnosis needs to see *which* lane the policy is
-  /// shedding — a shed read is degraded service, a shed write is lost
-  /// state.
+  /// Shed ops per lane (kShedOldest displacements, plus kDegrade's
+  /// expired reads): a shed read is degraded service, a shed write is
+  /// lost state.
   uint64_t shed_reads = 0;
   uint64_t shed_writes = 0;
   uint64_t responses = 0;   ///< completed read tickets
@@ -269,16 +262,16 @@ class ServingPipeline {
   ServingPipeline(const ServingPipeline&) = delete;
   ServingPipeline& operator=(const ServingPipeline&) = delete;
 
-  /// Admits one recommendation request. Errors: FailedPrecondition
-  /// (pipeline shut down). Under kDegrade the request carries
-  /// `config.default_deadline_seconds`; a returned ticket may already
-  /// be terminal (degraded-served or dropped at admission).
+  /// Admits one recommendation request with no deadline. Errors:
+  /// FailedPrecondition (pipeline shut down).
   spa::Result<StreamTicketPtr> Submit(
       RecommendRequest request, StreamTicket::Callback on_complete = {});
 
   /// Same, with an explicit deadline (seconds from now; <= 0 means no
   /// deadline). Deadlines only influence serving under kDegrade — the
-  /// other policies admit and serve such requests unchanged.
+  /// other policies admit and serve such requests unchanged. Under
+  /// kDegrade a returned ticket may already be terminal (degraded-
+  /// served or dropped at admission).
   spa::Result<StreamTicketPtr> SubmitWithDeadline(
       RecommendRequest request, double deadline_seconds,
       StreamTicket::Callback on_complete = {});

@@ -194,107 +194,6 @@ TEST_F(SpaTest, ZeroWeightInteractionsDoNotLeakBack) {
   EXPECT_TRUE(has_item_5);
 }
 
-TEST_F(SpaTest, ServingPipelineStreamsThroughTheFacade) {
-  Spa spa(SmallConfig());
-  const auto& clicks =
-      spa.action_catalog().CodesFor(lifelog::ActionType::kClick);
-  for (sum::UserId u = 0; u < 12; ++u) {
-    for (int j = 0; j < 6; ++j) {
-      lifelog::Event e;
-      e.user = u;
-      e.time = spa.clock()->now();
-      e.action_code = clicks[0];
-      e.item = static_cast<lifelog::ItemId>(
-          (u % 2 == 0 ? 0 : 15) + ((u + j) % 10));
-      spa.RecordEvent(e);
-    }
-  }
-  auto pipeline = spa.MakeServingPipeline();
-  ASSERT_TRUE(pipeline.ok());
-
-  // Streamed responses match the engine's synchronous serving.
-  recsys::RecommendRequest request;
-  request.user = 0;
-  request.k = 4;
-  auto ticket = pipeline.value()->Submit(request);
-  ASSERT_TRUE(ticket.ok());
-  ASSERT_EQ(ticket.value()->Wait(), recsys::TicketState::kDone);
-  ASSERT_TRUE(ticket.value()->response().ok());
-  const auto reference = spa.engine()->Recommend(request);
-  ASSERT_TRUE(reference.ok());
-  const auto& lhs = ticket.value()->response().value().items;
-  const auto& rhs = reference.value().items;
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (size_t i = 0; i < lhs.size(); ++i) {
-    EXPECT_EQ(lhs[i].item, rhs[i].item);
-    EXPECT_EQ(lhs[i].score, rhs[i].score);  // bitwise
-  }
-
-  // While the pipeline is alive the facade must refuse to replace the
-  // engine its workers serve from (and refuse a second pipeline).
-  EXPECT_FALSE(spa.RefreshRecommenders().ok());
-  EXPECT_FALSE(spa.MakeServingPipeline().ok());
-
-  pipeline.value().reset();
-  EXPECT_TRUE(spa.RefreshRecommenders().ok());
-  auto rebuilt = spa.MakeServingPipeline();
-  EXPECT_TRUE(rebuilt.ok());
-}
-
-TEST_F(SpaTest, ServingRouterRoutesThroughTheFacade) {
-  Spa spa(SmallConfig());
-  // No interactions recorded: there is nothing to bootstrap replicas
-  // from.
-  EXPECT_FALSE(spa.MakeServingRouter().ok());
-
-  const auto& clicks =
-      spa.action_catalog().CodesFor(lifelog::ActionType::kClick);
-  for (sum::UserId u = 0; u < 12; ++u) {
-    for (int j = 0; j < 6; ++j) {
-      lifelog::Event e;
-      e.user = u;
-      e.time = spa.clock()->now();
-      e.action_code = clicks[0];
-      e.item = static_cast<lifelog::ItemId>(
-          (u % 2 == 0 ? 0 : 15) + ((u + j) % 10));
-      spa.RecordEvent(e);
-    }
-  }
-  recsys::RouterConfig config;
-  config.workers = 2;
-  auto router = spa.MakeServingRouter(config);
-  ASSERT_TRUE(router.ok()) << router.status();
-  EXPECT_EQ(router.value()->worker_count(), 2u);
-
-  // Unlike the pipeline, the router borrows nothing from the
-  // platform's engine — a stack rebuild must keep working while the
-  // router is alive.
-  ASSERT_TRUE(spa.RefreshRecommenders().ok());
-
-  // The worker replicas bootstrap from the same ordered interaction
-  // log RefreshRecommenders feeds the facade matrix with and build
-  // the same default stack, so a routed response is bitwise-equal to
-  // the facade engine serving the same request.
-  for (sum::UserId user : {sum::UserId{0}, sum::UserId{7}}) {
-    recsys::RecommendRequest request;
-    request.user = user;
-    request.k = 4;
-    auto ticket = router.value()->Submit(request);
-    ASSERT_TRUE(ticket.ok());
-    ASSERT_EQ(ticket.value()->Wait(), recsys::TicketState::kDone);
-    ASSERT_TRUE(ticket.value()->response().ok());
-    const auto reference = spa.engine()->Recommend(request);
-    ASSERT_TRUE(reference.ok());
-    const auto& lhs = ticket.value()->response().value().items;
-    const auto& rhs = reference.value().items;
-    ASSERT_EQ(lhs.size(), rhs.size());
-    for (size_t i = 0; i < lhs.size(); ++i) {
-      EXPECT_EQ(lhs[i].item, rhs[i].item);
-      EXPECT_EQ(lhs[i].score, rhs[i].score);  // bitwise
-    }
-  }
-}
-
 TEST_F(SpaTest, RecommendBatchMatchesSequentialThroughSpa) {
   Spa spa(SmallConfig());
   const auto& clicks =

@@ -644,7 +644,7 @@ TEST(ServingPipelineTest, BlockPolicyBlocksProducerUntilRoomFrees) {
     EXPECT_TRUE(ticket->response().ok());
   }
   EXPECT_EQ(blocked_ticket->Wait(), TicketState::kDone);
-  EXPECT_EQ(pipeline.stats().shed, 0u);
+  EXPECT_EQ(pipeline.stats().shed_reads, 0u);
 }
 
 TEST(ServingPipelineTest, ShedOldestDropsTheOldestQueuedTicket) {
@@ -662,7 +662,6 @@ TEST(ServingPipelineTest, ShedOldestDropsTheOldestQueuedTicket) {
   ASSERT_FALSE(tickets[1]->response().ok());
   EXPECT_EQ(tickets[1]->response().status().code(),
             spa::StatusCode::kResourceExhausted);
-  EXPECT_EQ(pipeline.stats().shed, 1u);
   EXPECT_EQ(pipeline.stats().shed_reads, 1u);
   EXPECT_EQ(pipeline.stats().shed_writes, 0u);
 
@@ -707,7 +706,8 @@ TEST(ServingPipelineTest, DegradeFallbackServesTheMostPressedWhenFull) {
   const PipelineStats stats = pipeline.stats();
   EXPECT_EQ(stats.fallback_served, 1u);
   EXPECT_EQ(stats.expired_drops, 0u);
-  EXPECT_EQ(stats.shed, 0u);  // a fallback serve is a response, not a shed
+  // A fallback serve is a response, not a shed.
+  EXPECT_EQ(stats.shed_reads, 0u);
   EXPECT_EQ(stats.responses, 4u);
   // Fallback serves carry full histogram coverage.
   EXPECT_EQ(stats.end_to_end.total(), stats.responses);
@@ -760,19 +760,18 @@ TEST(ServingPipelineTest, DegradeDropsExpiredVictimsAtAdmission) {
 
 TEST(ServingPipelineTest, DegradeDropsExpiredReadsAtDrainTime) {
   GatedStack stack;
-  PipelineConfig config = TinyPipelineConfig(BackpressurePolicy::kDegrade);
-  // Plain Submit inherits the configured default deadline.
-  config.default_deadline_seconds = 0.001;
-  ServingPipeline pipeline(stack.engine.get(), nullptr, config);
-  // The parked read is explicitly deadline-free so it reliably holds
-  // the worker regardless of scheduling delays.
-  auto r0 = pipeline.SubmitWithDeadline(stack.Request(0),
-                                        /*deadline_seconds=*/0.0);
+  ServingPipeline pipeline(
+      stack.engine.get(), nullptr,
+      TinyPipelineConfig(BackpressurePolicy::kDegrade));
+  // The parked read is deadline-free (plain Submit) so it reliably
+  // holds the worker regardless of scheduling delays.
+  auto r0 = pipeline.Submit(stack.Request(0));
   ASSERT_TRUE(r0.ok());
   while (pipeline.queue_depth() != 0) std::this_thread::yield();
   // r1 expires while queued — the queue never overflows, so the drain
   // loop's slack classifier (not admission) must catch it.
-  auto r1 = pipeline.Submit(stack.Request(1));
+  auto r1 = pipeline.SubmitWithDeadline(stack.Request(1),
+                                        /*deadline_seconds=*/0.001);
   ASSERT_TRUE(r1.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
@@ -1156,7 +1155,7 @@ TEST(ServingPipelineTest, TsanStressServeWhileStreamingUpdates) {
             static_cast<uint64_t>(kProducers * kOpsPerProducer));
   EXPECT_EQ(stats.admitted, stats.submitted);  // block policy
   EXPECT_EQ(stats.responses + stats.updates_applied, stats.admitted);
-  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.shed_reads + stats.shed_writes, 0u);
 }
 
 }  // namespace
